@@ -564,8 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "functions by cumulative time")
     bench.add_argument("--scalar", action="store_true",
                        help="A/B switch: force the per-access scalar "
-                            "paths (no columnar chains, no epoch/fan-"
-                            "out batching) on every cell")
+                            "paths (no epoch/fan-out batching) on every "
+                            "cell")
     bench.set_defaults(fn=_cmd_bench)
     sub.add_parser("overhead", help="Sec 7.3 overheads").set_defaults(
         fn=_cmd_overhead)

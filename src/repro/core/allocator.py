@@ -111,7 +111,7 @@ class NdsAllocator:
         return channel, bank
 
     def _place_cols(self, entry: BlockEntry):
-        """The entry's columnar placement counters, built on first use.
+        """The entry's placement counter grid, built on first use.
 
         ``key_grid[b]`` is one ``min``-able row per bank (combined
         bank-use/channel-use sort key, see :class:`BlockEntry`);

@@ -43,7 +43,7 @@ class BlockEntry:
     #: when the space is compressed (§5.3.4): stored bytes including the
     #: codec header; None = uncompressed block
     stored_bytes: Optional[int] = None
-    #: columnar mirror of the usage dicts for the allocator's placement
+    #: per-bank grid mirror of the usage dicts for the allocator's placement
     #: scans: ``(key_grid, bank_tot)`` where ``key_grid[b][c]`` is the
     #: combined sort key ``bank_use[(c, b)] * M + channel_use[c]`` with
     #: ``M = len(pages) + 1`` (channel_use never reaches M, so one

@@ -33,6 +33,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cache.nd import (neighbor_regions, region_group, region_key,
+                            slices_overlap)
+from repro.core.errors import FaultError, NdsError
 from repro.runtime.scheduler import RequestScheduler
 from repro.runtime.tileop import DEFAULT_STREAM, TileOp
 from repro.runtime.trace import TraceRecorder
@@ -179,6 +182,110 @@ class StorageSystem(abc.ABC):
         ``write_back=True`` override this."""
         raise NotImplementedError(
             f"{self.name} does not support write-back caching")
+
+    # N-D tier flow of the NDS architectures. Each architecture supplies
+    # only its cost calls: _tier_copy, _prefetch_issue, _prefetch_deliver.
+    def _tier_copy(self, access, elem: int, earliest: float) -> float:
+        """Charge the host copy of one region between the DRAM tier and
+        the caller's buffer; returns when it finishes."""
+        raise NotImplementedError
+
+    def _prefetch_issue(self, space, start: float) -> float:
+        """Charge the command path of one speculative region read;
+        returns when its flash read may start."""
+        raise NotImplementedError
+
+    def _prefetch_deliver(self, access, block, elem: int) -> float:
+        """Charge the path from a speculative read's flash completion
+        into the DRAM tier; returns when the region lands."""
+        raise NotImplementedError
+
+    def _flush_overlapping(self, dataset: str, access,
+                           now: float) -> float:
+        """Flush buffered dirty regions overlapping ``access``."""
+        tier = self.tier
+        for key in tier.group_keys(region_group(dataset, access)):
+            entry = tier.get(key)
+            if entry is None or not entry.dirty:
+                continue
+            if slices_overlap(entry.payload[2].block_slice,
+                              access.block_slice):
+                now = tier.flush_entry(key, now)
+        return now
+
+    def _absorb_write(self, dataset: str, space_id: int, access, region,
+                      earliest: float) -> float:
+        """Write-back: absorb one region into DRAM (host copy only);
+        the device write happens at eviction, dirty-bound or fence."""
+        tier = self.tier
+        space = self.stl.get_space(space_id)
+        elem = space.element_size
+        region_bytes = access.element_count() * elem
+        done = self._tier_copy(access, elem, earliest)
+        key = region_key(dataset, access)
+        # overlapping buffered regions: older dirty data must hit flash
+        # first (write order), overlapping clean copies are now stale
+        for other in tier.group_keys(region_group(dataset, access)):
+            if other == key:
+                continue
+            entry = tier.get(other)
+            if entry is None:
+                continue
+            if slices_overlap(entry.payload[2].block_slice,
+                              access.block_slice):
+                if entry.dirty:
+                    done = tier.flush_entry(other, done)
+                tier.invalidate(other)
+        data = None
+        if region is not None:
+            data = np.ascontiguousarray(region).copy()
+        return tier.insert(key, region_bytes, done,
+                           payload=(dataset, space_id, access), data=data,
+                           dirty=True, group=region_group(dataset, access))
+
+    def _note_write_through(self, dataset: str, space_id: int,
+                            access) -> None:
+        """Write-through coherence: refresh the exact cached region,
+        drop overlapping neighbors (their bytes are now stale)."""
+        tier = self.tier
+        key = region_key(dataset, access)
+        for other in tier.group_keys(region_group(dataset, access)):
+            if other == key:
+                continue
+            entry = tier.get(other)
+            if entry is not None and slices_overlap(
+                    entry.payload[2].block_slice, access.block_slice):
+                tier.invalidate(other)
+        entry = tier.get(key)
+        if entry is not None and self.store_data:
+            entry.data = self.stl.block_region_data(space_id, access)
+
+    def _prefetch_neighbors(self, dataset: str, space_id: int, space,
+                            origin: Sequence[int], extents: Sequence[int],
+                            start: float) -> None:
+        """Fetch forward neighbor regions along the accessed axes into
+        the tier (charged on the shared timelines, asynchronously)."""
+        tier = self.tier
+        elem = space.element_size
+        for p_origin, p_extents in neighbor_regions(
+                space.dims, origin, extents, tier.config.prefetch):
+            for access in self.stl.plan_region(space_id, p_origin,
+                                               p_extents):
+                key = region_key(dataset, access)
+                if tier.contains(key):
+                    continue
+                issued = self._prefetch_issue(space, start)
+                try:
+                    block = self.stl.read_block(space_id, access, issued)
+                except (NdsError, FaultError):
+                    continue  # speculative read; demand path will retry
+                done = self._prefetch_deliver(access, block, elem)
+                data = (self.stl.block_region_data(space_id, access)
+                        if self.store_data else None)
+                tier.insert(key, access.element_count() * elem, done,
+                            payload=(dataset, space_id, access), data=data,
+                            prefetched=True,
+                            group=region_group(dataset, access))
 
     def _member_systems(self) -> tuple:
         """Pool member systems (empty for single-device systems)."""
@@ -338,8 +445,7 @@ class StorageSystem(abc.ABC):
     # device-pool hooks (multi-device operation)
     # ------------------------------------------------------------------
     def _init_cluster(self, devices: int, pool, faults, rebalance,
-                      extents_per_device: int, factory,
-                      parallel: int = 0) -> bool:
+                      extents_per_device: int, factory) -> bool:
         """Attach a :class:`~repro.cluster.ClusterTranslationLayer` when
         the constructor asked for more than one device.
 
@@ -347,9 +453,7 @@ class StorageSystem(abc.ABC):
         with ``devices=1`` and no explicit pool nothing is attached and
         the caller proceeds with the classic single-device construction
         (every existing code path stays bit-identical). Returns True
-        when pooled. ``parallel`` > 0 runs pool members in that many
-        worker processes (see :mod:`repro.cluster.parallel`); reports
-        stay byte-identical to the serial pool.
+        when pooled.
         """
         if pool is None and devices <= 1:
             return False
@@ -359,10 +463,7 @@ class StorageSystem(abc.ABC):
             count = int(devices)
             pool = DevicePool.from_factory(
                 count,
-                lambda i: factory(i, split_fault_config(faults, i, count)),
-                parallel=parallel)
-        elif parallel:
-            pool.parallel = int(parallel)
+                lambda i: factory(i, split_fault_config(faults, i, count)))
         parity = bool(faults.parity) if faults is not None else False
         self.cluster = ClusterTranslationLayer(
             pool, self, parity=parity,

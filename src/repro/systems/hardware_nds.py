@@ -21,11 +21,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.nd import (neighbor_regions, region_group, region_key,
-                            slices_overlap)
+from repro.cache.nd import region_group, region_key
 from repro.core.api import bytes_to_array
 from repro.core.controller import ControllerTiming, NdsController
-from repro.core.errors import FaultError, NdsError
 from repro.core.stl import SpaceTranslationLayer
 from repro.core.translator import pages_for_region
 from repro.faults.injector import FaultInjector
@@ -57,8 +55,7 @@ class HardwareNdsSystem(StorageSystem):
                  faults: Optional[FaultConfig] = None,
                  devices: int = 1, pool=None,
                  extents_per_device: int = 1, rebalance=None,
-                 cache: Optional[CacheConfig] = None,
-                 parallel: int = 0) -> None:
+                 cache: Optional[CacheConfig] = None) -> None:
         self.profile = profile
         self.store_data = store_data
         self.segment_bytes = segment_bytes
@@ -71,8 +68,7 @@ class HardwareNdsSystem(StorageSystem):
                     profile, store_data=store_data,
                     controller_timing=controller_timing,
                     segment_bytes=segment_bytes, bb_override=bb_override,
-                    cipher=cipher, faults=f, cache=cache),
-                parallel=parallel):
+                    cipher=cipher, faults=f, cache=cache)):
             return
         self.flash = FlashArray(profile.geometry, profile.timing,
                                 store_data=store_data)
@@ -163,9 +159,7 @@ class HardwareNdsSystem(StorageSystem):
             if out is not None and entry.data is not None:
                 slicer = tuple(slice(lo, hi) for lo, hi in access.out_slice)
                 out[slicer] = entry.data
-            region_bytes = access.element_count() * elem
-            end = max(end, self.cpu.copy(region_bytes, start_time, 0,
-                                         label="cache_copy"))
+            end = max(end, self._tier_copy(access, elem, start_time))
 
         fetched = 0
         missed = bool(accesses)
@@ -337,100 +331,23 @@ class HardwareNdsSystem(StorageSystem):
                                      region=entry.data)
         return block.completion_time
 
-    def _flush_overlapping(self, dataset: str, access,
-                           now: float) -> float:
-        """Flush buffered dirty regions overlapping ``access``."""
-        tier = self.tier
-        for key in tier.group_keys(region_group(dataset, access)):
-            entry = tier.get(key)
-            if entry is None or not entry.dirty:
-                continue
-            if slices_overlap(entry.payload[2].block_slice,
-                              access.block_slice):
-                now = tier.flush_entry(key, now)
-        return now
+    def _tier_copy(self, access, elem: int, earliest: float) -> float:
+        # the host does no marshalling here: one contiguous copy
+        return self.cpu.copy(access.element_count() * elem, earliest, 0,
+                             label="cache_copy")
 
-    def _absorb_write(self, dataset: str, space_id: int, access, region,
-                      earliest: float) -> float:
-        """Write-back: absorb one region into DRAM. The host does no
-        marshalling in this architecture, so the copy is contiguous."""
-        tier = self.tier
-        space = self.stl.get_space(space_id)
-        region_bytes = access.element_count() * space.element_size
-        done = self.cpu.copy(region_bytes, earliest, 0, label="cache_copy")
-        key = region_key(dataset, access)
-        # overlapping buffered regions: older dirty data must hit flash
-        # first (write order), overlapping clean copies are now stale
-        for other in tier.group_keys(region_group(dataset, access)):
-            if other == key:
-                continue
-            entry = tier.get(other)
-            if entry is None:
-                continue
-            if slices_overlap(entry.payload[2].block_slice,
-                              access.block_slice):
-                if entry.dirty:
-                    done = tier.flush_entry(other, done)
-                tier.invalidate(other)
-        data = None
-        if region is not None:
-            data = np.ascontiguousarray(region).copy()
-        return tier.insert(key, region_bytes, done,
-                           payload=(dataset, space_id, access), data=data,
-                           dirty=True, group=region_group(dataset, access))
+    def _prefetch_issue(self, space, start: float) -> float:
+        # a speculative single-region NDS command
+        cmd_done = self.controller.handle_command(self.cpu.issue_io(start))
+        return self.controller.translate(cmd_done, space.rank, 1)
 
-    def _note_write_through(self, dataset: str, space_id: int,
-                            access) -> None:
-        """Write-through coherence: refresh the exact cached region,
-        drop overlapping neighbors (their bytes are now stale)."""
-        tier = self.tier
-        key = region_key(dataset, access)
-        for other in tier.group_keys(region_group(dataset, access)):
-            if other == key:
-                continue
-            entry = tier.get(other)
-            if entry is not None and slices_overlap(
-                    entry.payload[2].block_slice, access.block_slice):
-                tier.invalidate(other)
-        entry = tier.get(key)
-        if entry is not None and self.store_data:
-            entry.data = self.stl.block_region_data(space_id, access)
-
-    def _prefetch_neighbors(self, dataset: str, space_id: int, space,
-                            origin: Sequence[int], extents: Sequence[int],
-                            start: float) -> None:
-        """Fetch forward neighbor regions along the accessed axes into
-        the tier via speculative single-region commands (charged on the
-        shared timelines, asynchronously)."""
-        tier = self.tier
-        elem = space.element_size
-        for p_origin, p_extents in neighbor_regions(
-                space.dims, origin, extents, tier.config.prefetch):
-            for access in self.stl.plan_region(space_id, p_origin,
-                                               p_extents):
-                key = region_key(dataset, access)
-                if tier.contains(key):
-                    continue
-                issued = self.cpu.issue_io(start)
-                cmd_done = self.controller.handle_command(issued)
-                translated = self.controller.translate(cmd_done,
-                                                       space.rank, 1)
-                try:
-                    block = self.stl.read_block(space_id, access, translated)
-                except (NdsError, FaultError):
-                    continue  # speculative read; demand path will retry
-                region_bytes = access.element_count() * elem
-                decrypted = self._crypt(block.completion_time,
-                                        block.pages * self.page_size)
-                ready = self.controller.assemble(decrypted, region_bytes,
-                                                 block.pages)
-                transfer = self.link.transfer(region_bytes, ready)
-                data = (self.stl.block_region_data(space_id, access)
-                        if self.store_data else None)
-                tier.insert(key, region_bytes, transfer.end_time,
-                            payload=(dataset, space_id, access), data=data,
-                            prefetched=True,
-                            group=region_group(dataset, access))
+    def _prefetch_deliver(self, access, block, elem: int) -> float:
+        region_bytes = access.element_count() * elem
+        decrypted = self._crypt(block.completion_time,
+                                block.pages * self.page_size)
+        ready = self.controller.assemble(decrypted, region_bytes,
+                                         block.pages)
+        return self.link.transfer(region_bytes, ready).end_time
 
     # ------------------------------------------------------------------
     def reset_time(self) -> None:

@@ -21,10 +21,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cache.nd import (neighbor_regions, region_group, region_key,
-                            slices_overlap)
+from repro.cache.nd import region_group, region_key
 from repro.core.api import bytes_to_array
-from repro.core.errors import FaultError, NdsError
 from repro.core.stl import SpaceTranslationLayer
 from repro.core.translator import pages_for_region
 from repro.faults.injector import FaultInjector
@@ -71,8 +69,7 @@ class SoftwareNdsSystem(StorageSystem):
                  faults: Optional[FaultConfig] = None,
                  devices: int = 1, pool=None,
                  extents_per_device: int = 1, rebalance=None,
-                 cache: Optional[CacheConfig] = None,
-                 parallel: int = 0) -> None:
+                 cache: Optional[CacheConfig] = None) -> None:
         self.profile = profile
         self.store_data = store_data
         self.queue_depth = queue_depth
@@ -84,8 +81,7 @@ class SoftwareNdsSystem(StorageSystem):
                 lambda i, f: SoftwareNdsSystem(
                     profile, store_data=store_data, queue_depth=queue_depth,
                     costs=costs, bb_override=bb_override, faults=f,
-                    cache=cache),
-                parallel=parallel):
+                    cache=cache)):
             return
         self.flash = FlashArray(profile.geometry, profile.timing,
                                 store_data=store_data)
@@ -163,8 +159,7 @@ class SoftwareNdsSystem(StorageSystem):
                         slicer = tuple(slice(lo, hi)
                                        for lo, hi in access.out_slice)
                         out[slicer] = entry.data
-                    done = self.cpu.copy(region_bytes, earliest, row_bytes,
-                                         label="cache_copy")
+                    done = self._tier_copy(access, elem, earliest)
                     window.complete(done)
                     completions.append(done)
                     continue
@@ -297,102 +292,20 @@ class SoftwareNdsSystem(StorageSystem):
         done, _pages = self._write_access(space_id, access, entry.data, now)
         return done
 
-    def _flush_overlapping(self, dataset: str, access,
-                           now: float) -> float:
-        """Flush buffered dirty regions overlapping ``access``."""
-        tier = self.tier
-        for key in tier.group_keys(region_group(dataset, access)):
-            entry = tier.get(key)
-            if entry is None or not entry.dirty:
-                continue
-            if slices_overlap(entry.payload[2].block_slice,
-                              access.block_slice):
-                now = tier.flush_entry(key, now)
-        return now
+    def _tier_copy(self, access, elem: int, earliest: float) -> float:
+        # one memcpy per block-row segment, like the demand path
+        return self.cpu.copy(access.element_count() * elem, earliest,
+                             access.extent()[-1] * elem, label="cache_copy")
 
-    def _absorb_write(self, dataset: str, space_id: int, access, region,
-                      earliest: float) -> float:
-        """Write-back: absorb one region into DRAM (gather copy only);
-        the device write happens at eviction, dirty-bound or fence."""
-        tier = self.tier
-        space = self.stl.get_space(space_id)
-        elem = space.element_size
-        region_bytes = access.element_count() * elem
-        row_bytes = access.extent()[-1] * elem
-        done = self.cpu.copy(region_bytes, earliest, row_bytes,
-                             label="cache_copy")
-        key = region_key(dataset, access)
-        # overlapping buffered regions: older dirty data must hit flash
-        # first (write order), overlapping clean copies are now stale
-        for other in tier.group_keys(region_group(dataset, access)):
-            if other == key:
-                continue
-            entry = tier.get(other)
-            if entry is None:
-                continue
-            if slices_overlap(entry.payload[2].block_slice,
-                              access.block_slice):
-                if entry.dirty:
-                    done = tier.flush_entry(other, done)
-                tier.invalidate(other)
-        data = None
-        if region is not None:
-            data = np.ascontiguousarray(region).copy()
-        return tier.insert(key, region_bytes, done,
-                           payload=(dataset, space_id, access), data=data,
-                           dirty=True, group=region_group(dataset, access))
+    def _prefetch_issue(self, space, start: float) -> float:
+        return self.cpu.run_issue_work(
+            start, self.costs.per_command + self.costs.per_node * space.rank,
+            label="stl_translate")
 
-    def _note_write_through(self, dataset: str, space_id: int,
-                            access) -> None:
-        """Write-through coherence: refresh the exact cached region,
-        drop overlapping neighbors (their bytes are now stale)."""
-        tier = self.tier
-        key = region_key(dataset, access)
-        for other in tier.group_keys(region_group(dataset, access)):
-            if other == key:
-                continue
-            entry = tier.get(other)
-            if entry is not None and slices_overlap(
-                    entry.payload[2].block_slice, access.block_slice):
-                tier.invalidate(other)
-        entry = tier.get(key)
-        if entry is not None and self.store_data:
-            entry.data = self.stl.block_region_data(space_id, access)
-
-    def _prefetch_neighbors(self, dataset: str, space_id: int, space,
-                            origin: Sequence[int], extents: Sequence[int],
-                            start: float) -> None:
-        """Fetch forward neighbor regions along the accessed axes into
-        the tier (charged on the shared timelines, asynchronously)."""
-        tier = self.tier
-        elem = space.element_size
-        for p_origin, p_extents in neighbor_regions(
-                space.dims, origin, extents, tier.config.prefetch):
-            for access in self.stl.plan_region(space_id, p_origin,
-                                               p_extents):
-                key = region_key(dataset, access)
-                if tier.contains(key):
-                    continue
-                issued = self.cpu.run_issue_work(
-                    start,
-                    self.costs.per_command + self.costs.per_node * space.rank,
-                    label="stl_translate")
-                try:
-                    block = self.stl.read_block(space_id, access, issued)
-                except (NdsError, FaultError):
-                    continue  # speculative read; demand path will retry
-                region_bytes = access.element_count() * elem
-                transfer = self.link.transfer(
-                    block.pages * self.page_size, block.completion_time)
-                done = self.cpu.copy(region_bytes, transfer.end_time,
-                                     access.extent()[-1] * elem,
-                                     label="cache_copy")
-                data = (self.stl.block_region_data(space_id, access)
-                        if self.store_data else None)
-                tier.insert(key, region_bytes, done,
-                            payload=(dataset, space_id, access), data=data,
-                            prefetched=True,
-                            group=region_group(dataset, access))
+    def _prefetch_deliver(self, access, block, elem: int) -> float:
+        transfer = self.link.transfer(block.pages * self.page_size,
+                                      block.completion_time)
+        return self._tier_copy(access, elem, transfer.end_time)
 
     # ------------------------------------------------------------------
     def reset_time(self) -> None:

@@ -163,6 +163,148 @@ class TestDeterminism:
         assert self._trace(cls, cache) == self._trace(cls, cache)
 
 
+#: end times of every op and the final ``cache_report()`` (floats as
+#: ``float.hex()``) for :meth:`TestCachedTimingGoldens._run`, captured
+#: before the NDS tier flow moved into ``StorageSystem``: the shared
+#: flow must charge each architecture's own cost calls, bit for bit
+CACHED_GOLDENS = {
+    ('software', 'write-through'): (
+        ['0x1.7941255b3dda3p-10',
+         '0x1.e55d747b21c15p-10',
+         '0x1.029e7935af47ap-9',
+         '0x1.056331b7bc09dp-9',
+         '0x1.1d5de76f6dfffp-9',
+         '0x1.2498e4f36ff88p-9',
+         '0x1.289ba8f30ea9bp-9',
+         '0x1.289ba8f30ea9bp-9'],
+        {'capacity_bytes': 65536,
+         'dirty': 0,
+         'entries': 26,
+         'evictions': 0,
+         'hit_rate': '0x1.0000000000000p-2',
+         'hits': 2,
+         'insertions': 29,
+         'invalidations': 3,
+         'misses': 6,
+         'policy': 'lru',
+         'prefetch_accuracy': '0x1.642d05f288484p-4',
+         'prefetch_hits': 2,
+         'prefetch_issued': 23,
+         'rejected': 0,
+         'resident_bytes': 11264,
+         'write_back': False,
+         'writebacks': 0}),
+    ('software', 'write-back'): (
+        ['0x1.7941255b3dda3p-10',
+         '0x1.95d331aaabb0ep-10',
+         '0x1.ccfd4041aa663p-10',
+         '0x1.3f1bed4b52877p-9',
+         '0x1.5716a303047d9p-9',
+         '0x1.5e51a08706762p-9',
+         '0x1.62546486a5275p-9',
+         '0x1.62546486a5275p-9'],
+        {'capacity_bytes': 65536,
+         'dirty': 0,
+         'entries': 30,
+         'evictions': 0,
+         'hit_rate': '0x1.0000000000000p-2',
+         'hits': 2,
+         'insertions': 35,
+         'invalidations': 5,
+         'misses': 6,
+         'policy': 'lru',
+         'prefetch_accuracy': '0x1.642d05f288484p-4',
+         'prefetch_hits': 2,
+         'prefetch_issued': 23,
+         'rejected': 0,
+         'resident_bytes': 12544,
+         'write_back': True,
+         'writebacks': 6}),
+    ('hardware', 'write-through'): (
+        ['0x1.1dcffd367fa18p-10',
+         '0x1.8f62d65b634a5p-10',
+         '0x1.ad9dd4df0c61bp-10',
+         '0x1.b459b50e5060dp-10',
+         '0x1.dcbb6cd3120b5p-10',
+         '0x1.1b4368e4805e4p-22',
+         '0x1.1b4368e4805e4p-21',
+         '0x1.1b4368e4805e4p-21'],
+        {'capacity_bytes': 65536,
+         'dirty': 0,
+         'entries': 26,
+         'evictions': 0,
+         'hit_rate': '0x1.0000000000000p-2',
+         'hits': 2,
+         'insertions': 29,
+         'invalidations': 3,
+         'misses': 6,
+         'policy': 'lru',
+         'prefetch_accuracy': '0x1.642d05f288484p-4',
+         'prefetch_hits': 2,
+         'prefetch_issued': 23,
+         'rejected': 0,
+         'resident_bytes': 11264,
+         'write_back': False,
+         'writebacks': 0}),
+    ('hardware', 'write-back'): (
+        ['0x1.1dcffd367fa18p-10',
+         '0x1.5bb0158b1202ep-22',
+         '0x1.73ac38f253b3cp-10',
+         '0x1.0b913cc297d97p-9',
+         '0x1.1fc218a4f8aecp-9',
+         '0x1.d3d83b1b21a5dp-21',
+         '0x1.30bcf7c6b0ea8p-20',
+         '0x1.30bcf7c6b0ea8p-20'],
+        {'capacity_bytes': 65536,
+         'dirty': 0,
+         'entries': 30,
+         'evictions': 0,
+         'hit_rate': '0x1.0000000000000p-2',
+         'hits': 2,
+         'insertions': 35,
+         'invalidations': 5,
+         'misses': 6,
+         'policy': 'lru',
+         'prefetch_accuracy': '0x1.642d05f288484p-4',
+         'prefetch_hits': 2,
+         'prefetch_issued': 23,
+         'rejected': 0,
+         'resident_bytes': 12544,
+         'write_back': True,
+         'writebacks': 6}),
+}
+
+
+class TestCachedTimingGoldens:
+    @staticmethod
+    def _run(cls, write_back):
+        system = cls(TINY_TEST, cache=CacheConfig(
+            capacity_bytes=64 * 1024, write_back=write_back, dirty_max=4,
+            prefetch=2))
+        system.ingest("m", DIMS, 4)
+        # populate, overwrite overlapping regions, read across the
+        # overlap, then a forward scan that prefetches
+        ends = [system.read_tile("m", (0, 0), TILE).end_time]
+        for origin in ((4, 4), (8, 0)):
+            ends.append(system.write_tile("m", origin, TILE).end_time)
+        ends.append(system.read_tile("m", (2, 6), TILE).end_time)
+        for row in range(16, DIMS[0], TILE[0]):
+            ends.append(system.read_tile("m", (row, 0), TILE).end_time)
+        ends.append(system.flush_cache(ends[-1]))
+        report = {key: value.hex() if isinstance(value, float) else value
+                  for key, value in system.cache_report().items()}
+        return [end.hex() for end in ends], report
+
+    @pytest.mark.parametrize("cls", (SoftwareNdsSystem, HardwareNdsSystem),
+                             ids=("software", "hardware"))
+    @pytest.mark.parametrize("write_back", (False, True),
+                             ids=("write-through", "write-back"))
+    def test_end_times_and_report_match_goldens(self, cls, write_back):
+        name = "software" if cls is SoftwareNdsSystem else "hardware"
+        mode = "write-back" if write_back else "write-through"
+        assert self._run(cls, write_back) == CACHED_GOLDENS[(name, mode)]
+
+
 class TestPooledAggregation:
     def test_cache_report_merges_pool_members(self):
         system = SoftwareNdsSystem(TINY_TEST, devices=2,
