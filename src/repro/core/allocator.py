@@ -15,6 +15,9 @@ possible:
 Overwrites pick a fresh unit from the *same channel and bank* as the
 overwritten unit, preserving the block's parallelism.
 
+:meth:`NdsAllocator.place_run` applies the same rules to a whole block
+access in one call, stopping only where garbage collection must run.
+
 Free-space bookkeeping reuses the per-(channel, bank) log-structured
 :class:`~repro.ftl.mapping.PlaneAllocator`; NDS manages flash like an
 FTL underneath, it just *places* differently.
@@ -23,9 +26,9 @@ FTL underneath, it just *places* differently.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Container, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.btree import BlockEntry
+from repro.core.btree import BlockEntry, ReverseEntry
 from repro.core.errors import CapacityError
 from repro.ftl.mapping import OutOfSpaceError, PlaneAllocator
 from repro.nvm.geometry import Geometry
@@ -217,6 +220,121 @@ class NdsAllocator:
             raise CapacityError("no free access unit in any channel/bank")
         entry.record_alloc(ppa, position)
         return ppa
+
+    def place_run(self, entry: BlockEntry, positions: Sequence[int],
+                  start: int, target: Optional[Tuple[int, int]],
+                  floor: int, reverse: Dict[int, ReverseEntry],
+                  space_id: int, out: List, slots: List[int],
+                  allowed: Optional[Planes] = None,
+                  zero: Optional[Container[int]] = None,
+                  ) -> Tuple[int, Optional[Tuple[int, int]]]:
+        """Place ``positions[start:]`` of one block access, in order.
+
+        Per position this is the write path's per-page sequence. An
+        overwrite releases the old unit (and its ``reverse`` entry) and
+        prefers its plane; a fresh position takes its target from rules
+        1–3 (:meth:`choose_target`). When the target plane has fewer
+        than ``floor`` free pages the call returns ``(i, target)`` for
+        that position ``i``: the caller collects ``target`` and resumes
+        with ``start=i`` and that ``target`` (position ``i`` is then
+        already released and targeted, and is not checked again).
+
+        A position in ``zero`` (a fresh all-zero page under §8 elision)
+        is targeted and checked but not allocated. Every other position
+        gets a unit from its target plane, recorded in ``entry`` as
+        :meth:`allocate` records it, with ``reverse`` (page index ->
+        :class:`ReverseEntry`) pointing back at it; a dead channel or a
+        full plane falls back to :meth:`allocate`. The unit is appended
+        to ``out`` and its position to ``slots``. Returns
+        ``(len(positions), None)`` once every position is placed.
+        """
+        g = self.geometry
+        channels = g.channels
+        banks = g.banks_per_channel
+        blocks_per_bank = g.blocks_per_bank
+        pages_per_block = g.pages_per_block
+        planes = self.planes
+        faults = self.faults
+        randrange = self.rng.randrange
+        choice = self.rng.choice
+        new_tuple = tuple.__new__
+        coord = entry.coord
+        pages = entry.pages
+        channel_use = entry.channel_use
+        bank_use = entry.bank_use
+        bank_channels = entry.bank_channels
+        weight = len(pages) + 1
+        cols = entry.place_cols
+        if cols is not None:
+            key_grid, bank_tot = cols
+        for i in range(start, len(positions)):
+            position = positions[i]
+            if i != start or target is None:
+                old = pages[position]
+                if old is not None:
+                    target = (old[0], old[1])
+                    entry.record_release(position)
+                    planes[target].invalidate(old)
+                    reverse.pop(((old[0] * banks + old[1]) * blocks_per_bank
+                                 + old[2]) * pages_per_block + old[3], None)
+                elif allowed is not None:
+                    target = self._choose_target_sharded(entry, allowed)
+                elif entry.last_alloc is None:
+                    # Rule 1
+                    target = (randrange(channels), randrange(banks))
+                else:
+                    if cols is None:
+                        cols = self._place_cols(entry)
+                        key_grid, bank_tot = cols
+                    bank = entry.last_alloc[1]
+                    if len(bank_channels.get(bank, ())) >= channels:
+                        # Rule 3
+                        least = min(bank_tot)
+                        bank = choice([b for b, used in enumerate(bank_tot)
+                                       if used == least])
+                    # Rule 2
+                    row = key_grid[bank]
+                    target = (row.index(min(row)), bank)
+                plane = planes[target]
+                if plane.free_page_count() < floor:
+                    return i, target
+            else:
+                plane = planes[target]
+            if zero is not None and position in zero:
+                continue
+            channel, bank = target
+            ppa = None
+            if faults is None or not faults.channel_dead(channel):
+                try:
+                    ppa = plane.allocate_page()
+                except OutOfSpaceError:
+                    pass
+            if ppa is None:
+                ppa = self.allocate(entry, position, prefer=target,
+                                    allowed=allowed)
+                channel, bank = ppa[0], ppa[1]
+            else:
+                # BlockEntry.record_alloc, inline
+                pages[position] = ppa
+                channel_use[channel] = channel_use.get(channel, 0) + 1
+                bank_use[target] = bank_use.get(target, 0) + 1
+                per_bank = bank_channels.get(bank)
+                if per_bank is None:
+                    per_bank = {}
+                    bank_channels[bank] = per_bank
+                per_bank[channel] = per_bank.get(channel, 0) + 1
+                entry.last_alloc = ppa
+                if cols is not None:
+                    for row in key_grid:
+                        row[channel] += 1
+                    key_grid[bank][channel] += weight
+                    bank_tot[bank] += 1
+            reverse[((channel * banks + bank) * blocks_per_bank + ppa[2])
+                    * pages_per_block + ppa[3]] = new_tuple(
+                        ReverseEntry, (space_id, coord, position))
+            out.append(ppa)
+            slots.append(position)
+        return len(positions), None
 
     def allocate_raw(self, prefer: Optional[Tuple[int, int]] = None,
                      allowed: Optional[Planes] = None):

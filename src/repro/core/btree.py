@@ -15,12 +15,22 @@ node visits so the systems layer can charge translation latency
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.space import Space
 from repro.nvm.address import PhysicalPageAddress
 
-__all__ = ["BlockEntry", "BTreeNode", "BTreeIndex", "LookupResult"]
+__all__ = ["BlockEntry", "BTreeNode", "BTreeIndex", "LookupResult",
+           "ReverseEntry"]
+
+
+class ReverseEntry(NamedTuple):
+    """Back-reference from a physical unit to its leaf slot: the GC's
+    reverse-table record (see :mod:`repro.core.gc`)."""
+
+    space_id: int
+    block_coord: Tuple[int, ...]
+    position: int
 
 
 @dataclass

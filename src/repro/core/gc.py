@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.allocator import NdsAllocator
-from repro.core.btree import BlockEntry
+from repro.core.btree import BlockEntry, ReverseEntry
 from repro.faults.errors import EraseFailError, ProgramFailError
 from repro.faults.parity import PARITY_POSITION
-from repro.ftl.mapping import OutOfSpaceError
+from repro.ftl.mapping import OutOfSpaceError, free_page_floor
 from repro.nvm.address import PhysicalPageAddress, ppa_to_index
 from repro.nvm.flash import FlashArray
 from repro.sim.stats import StatSet
@@ -29,13 +29,6 @@ __all__ = ["NdsGarbageCollector", "NdsGcResult", "ReverseEntry"]
 
 #: modelled out-of-band bytes consumed per unit by the reverse table
 OOB_BYTES_PER_UNIT = 8
-
-
-@dataclass(frozen=True)
-class ReverseEntry:
-    space_id: int
-    block_coord: Tuple[int, ...]
-    position: int
 
 
 @dataclass
@@ -61,6 +54,10 @@ class NdsGarbageCollector:
         self.allocator = allocator
         self.flash = flash
         self.threshold = threshold
+        #: integer form of the trigger: ``free < floor`` exactly when
+        #: ``free / pages_per_bank < threshold``
+        self.floor = free_page_floor(threshold,
+                                     allocator.geometry.pages_per_bank)
         #: resolves (space_id, block_coord) -> live BlockEntry
         self._entry_resolver = entry_resolver
         self.reverse: Dict[int, ReverseEntry] = {}
@@ -102,7 +99,8 @@ class NdsGarbageCollector:
 
     # ------------------------------------------------------------------
     def needs_collection(self, channel: int, bank: int) -> bool:
-        return self.allocator.free_fraction(channel, bank) < self.threshold
+        return (self.allocator.planes[(channel, bank)].free_page_count()
+                < self.floor)
 
     def collect(self, channel: int, bank: int, now: float,
                 target_fraction: float = None,

@@ -47,6 +47,37 @@ from repro.sim.stats import StatSet
 __all__ = ["SpaceTranslationLayer", "StlOpResult", "BlockOpResult"]
 
 
+class _ProgramBatch:
+    """Page programs waiting for one flash submission at ``issue``.
+
+    ``owners[i]`` is the block-op record (``[completion, ...]``) whose
+    completion ``ppas[i]`` bounds; ``data[i]`` is its payload (None =
+    timing only).
+    """
+
+    __slots__ = ("flash", "issue", "ppas", "data", "owners")
+
+    def __init__(self, flash: FlashArray, issue: float) -> None:
+        self.flash = flash
+        self.issue = issue
+        self.ppas: List = []
+        self.data: List = []
+        self.owners: List = []
+
+    def flush(self) -> None:
+        if not self.ppas:
+            return
+        op = self.flash.program_pages(
+            self.ppas, self.issue,
+            data=self.data if self.flash.store_data else None)
+        for st, done in zip(self.owners, op.completions):
+            if done > st[0]:
+                st[0] = done
+        self.ppas = []
+        self.data = []
+        self.owners = []
+
+
 @dataclass
 class BlockOpResult:
     """Timing/structure outcome of one building-block access."""
@@ -135,10 +166,11 @@ class SpaceTranslationLayer:
         #: page-sized byte count of one block page slot
         self._page_size = flash.geometry.page_size
         #: batched page fan-out on the write path: with no injector
-        #: attached, programs between GC events go to the flash array as
-        #: one batch instead of one call per page. Issue order and
-        #: times are identical, so timings stay bit-identical; set
-        #: False to force per-page calls (A/B equivalence tests).
+        #: attached, the pages between GC events are placed by one
+        #: allocator call and go to the flash array as one batch instead
+        #: of one call per page. Placement, issue order and times are
+        #: identical, so timings stay bit-identical; set False to force
+        #: the per-page path (A/B equivalence tests).
         self.batch_fanout = True
         #: epoch batch execution across block accesses: all block ops of
         #: one request issue at the same time, so consecutive same-kind
@@ -379,7 +411,6 @@ class SpaceTranslationLayer:
             return self._write_block_compressed(space_id, space, lookup,
                                                 access, issue_time, region)
         positions = pages_for_region(space, access.block_slice)
-        page_bytes = self._page_size
 
         # Merge phase: materialize current block content for the touched
         # pages if the write covers them only partially (read-modify-write
@@ -413,16 +444,99 @@ class SpaceTranslationLayer:
                 rmw_reads = len(existing)
 
         # Allocate + program each touched page. With no injector
-        # attached, consecutive programs between GC events batch into
-        # one flash call: every page still issues at ``rmw_done`` in
-        # position order, so the timings are bit-identical.
+        # attached, the allocator places every page up to the next GC
+        # point in one call and their programs go to the flash array as
+        # one batch: every page still issues at ``rmw_done`` in position
+        # order, so the timings are bit-identical to the per-page loop.
+        if self.batch_fanout and self.flash.faults is None:
+            st = [rmw_done, 0, 0.0]
+            batch = _ProgramBatch(self.flash, rmw_done)
+            self._place_pages(space_id, entry, positions, new_content, st,
+                              batch)
+            batch.flush()
+            completion, units, gc_time = st
+        else:
+            completion, units, gc_time = self._write_pages(
+                space_id, access, entry, positions, new_content, rmw_done)
+        if self.parity is not None:
+            parity_end = self._update_parity(space_id, space,
+                                             access.block_coord, entry,
+                                             new_content, rmw_done)
+            completion = max(completion, parity_end)
+        self.stats.count("stl_pages_programmed", units)
+        return BlockOpResult(access=access, issue_time=issue_time,
+                             completion_time=completion, pages=units,
+                             nodes_visited=lookup.nodes_visited,
+                             units_allocated=units, rmw_reads=rmw_reads,
+                             gc_time=gc_time)
+
+    def _place_pages(self, space_id: int, entry: BlockEntry,
+                     positions: Sequence[int],
+                     content: Optional[np.ndarray], st: List,
+                     batch: "_ProgramBatch") -> None:
+        """Allocate the touched pages of one block access into ``batch``.
+
+        One :meth:`NdsAllocator.place_run` call places every position
+        up to the next GC point. There the pending batch is flushed (GC
+        must see the flash state the per-page sequence would), the
+        plane is collected at the access's current completion, and
+        placement resumes. ``st`` is the access's ``[completion,
+        units, gc_time, ...]`` record; ``content`` is its merged block
+        buffer (None = timing only).
+        """
+        page_bytes = self._page_size
+        zero = None
+        if self.elide_zero_pages and content is not None:
+            # sparse optimization (§8): fresh all-zero pages are never
+            # materialized; the empty leaf slot reads back as zeros
+            pages = entry.pages
+            zero = {p for p in positions if pages[p] is None
+                    and not content[p * page_bytes:
+                                    (p + 1) * page_bytes].any()}
+        gc = self.gc
+        allowed = self._shard_planes.get(space_id)
+        slots: List[int] = []
+        stop, target = 0, None
+        while True:
+            first = len(batch.ppas)
+            stop, target = self.allocator.place_run(
+                entry, positions, stop, target, gc.floor, gc.reverse,
+                space_id, batch.ppas, slots, allowed=allowed, zero=zero)
+            placed = len(batch.ppas) - first
+            if placed:
+                st[1] += placed
+                batch.owners.extend([st] * placed)
+                if content is None:
+                    batch.data.extend([None] * placed)
+                else:
+                    batch.data.extend(
+                        content[p * page_bytes:(p + 1) * page_bytes]
+                        for p in slots)
+                slots.clear()
+            if target is None:
+                break
+            batch.flush()
+            gc_result = gc.collect(target[0], target[1], st[0])
+            st[2] += max(0.0, gc_result.end_time - st[0])
+            if gc_result.end_time > st[0]:
+                st[0] = gc_result.end_time
+        if zero:
+            self.stats.count("stl_pages_elided", len(zero))
+
+    def _write_pages(self, space_id: int, access: BlockAccess,
+                     entry: BlockEntry, positions: Sequence[int],
+                     content: Optional[np.ndarray],
+                     rmw_done: float) -> Tuple[float, int, float]:
+        """The per-page write path: release, place, collect, allocate
+        and program one page at a time, re-placing a unit whose program
+        fails. Fault injection and ``batch_fanout=False`` take it; it is
+        the reference the batched path must match. Returns
+        ``(completion, units, gc_time)``."""
+        page_bytes = self._page_size
+        allowed = self._shard_planes.get(space_id)
         completion = rmw_done
         units = 0
         gc_time = 0.0
-        batching = self.batch_fanout and self.flash.faults is None
-        pending_ppas: List = []
-        pending_data: Optional[List[np.ndarray]] = \
-            [] if new_content is not None else None
         for position in positions:
             old = entry.pages[position]
             if old is not None:
@@ -431,40 +545,24 @@ class SpaceTranslationLayer:
                 self.allocator.invalidate(old)
                 self.gc.note_release(old)
             else:
-                prefer = self.allocator.choose_target(
-                    entry, allowed=self._shard_planes.get(space_id))
+                prefer = self.allocator.choose_target(entry, allowed=allowed)
             if self.gc.needs_collection(*prefer):
-                if pending_ppas:
-                    op = self.flash.program_pages(pending_ppas, rmw_done,
-                                                  data=pending_data)
-                    for done in op.completions:
-                        if done > completion:
-                            completion = done
-                    pending_ppas = []
-                    pending_data = [] if new_content is not None else None
                 gc_result = self.gc.collect(prefer[0], prefer[1], completion)
                 gc_time += max(0.0, gc_result.end_time - completion)
                 completion = max(completion, gc_result.end_time)
             payload = None
-            if new_content is not None:
+            if content is not None:
                 start = position * page_bytes
-                payload = [new_content[start:start + page_bytes]]
+                payload = [content[start:start + page_bytes]]
             if (self.elide_zero_pages and payload is not None
                     and old is None and not payload[0].any()):
                 # sparse optimization (§8): never materialize an
                 # all-zero page; the empty leaf slot reads back as zeros
                 self.stats.count("stl_pages_elided")
                 continue
-            ppa = self.allocator.allocate(
-                entry, position, prefer=prefer,
-                allowed=self._shard_planes.get(space_id))
+            ppa = self.allocator.allocate(entry, position, prefer=prefer,
+                                          allowed=allowed)
             self.gc.note_alloc(ppa, space_id, access.block_coord, position)
-            if batching:
-                pending_ppas.append(ppa)
-                if pending_data is not None:
-                    pending_data.append(payload[0])
-                units += 1
-                continue
             issue = rmw_done
             while True:
                 try:
@@ -478,30 +576,14 @@ class SpaceTranslationLayer:
                     self.gc.note_release(ppa)
                     issue = self.gc.retire_block(ppa.channel, ppa.bank,
                                                  ppa.block, err.fail_time)
-                    ppa = self.allocator.allocate(
-                        entry, position, prefer=None,
-                        allowed=self._shard_planes.get(space_id))
+                    ppa = self.allocator.allocate(entry, position,
+                                                  prefer=None,
+                                                  allowed=allowed)
                     self.gc.note_alloc(ppa, space_id, access.block_coord,
                                        position)
             completion = max(completion, op.end_time)
             units += 1
-        if pending_ppas:
-            op = self.flash.program_pages(pending_ppas, rmw_done,
-                                          data=pending_data)
-            for done in op.completions:
-                if done > completion:
-                    completion = done
-        if self.parity is not None:
-            parity_end = self._update_parity(space_id, space,
-                                             access.block_coord, entry,
-                                             new_content, rmw_done)
-            completion = max(completion, parity_end)
-        self.stats.count("stl_pages_programmed", units)
-        return BlockOpResult(access=access, issue_time=issue_time,
-                             completion_time=completion, pages=units,
-                             nodes_visited=lookup.nodes_visited,
-                             units_allocated=units, rmw_reads=rmw_reads,
-                             gc_time=gc_time)
+        return completion, units, gc_time
 
     # ------------------------------------------------------------------
     # request-granular convenience (§4.4 read/write + assembly)
@@ -670,29 +752,11 @@ class SpaceTranslationLayer:
         """
         self._sync_faults()
         index = self.indexes[space_id]
-        allowed = self._shard_planes.get(space_id)
-        page_bytes = self._page_size
         store = self.flash.store_data
-        pending_ppas: List = []
-        pending_data: List = []
-        pending_owner: List = []
+        batch = _ProgramBatch(self.flash, start_time)
         #: per batched access: [completion, units, gc_time,
         #: nodes_visited, access] — finalized after the last flush
         blocks: List = []
-
-        def flush() -> None:
-            if not pending_ppas:
-                return
-            op = self.flash.program_pages(
-                pending_ppas, start_time,
-                data=pending_data if store else None)
-            for st, done in zip(pending_owner, op.completions):
-                if done > st[0]:
-                    st[0] = done
-            pending_ppas.clear()
-            pending_data.clear()
-            pending_owner.clear()
-
         for access in accesses:
             peek = index.lookup(access.block_coord).entry
             positions = pages_for_region(space, access.block_slice)
@@ -708,7 +772,7 @@ class SpaceTranslationLayer:
                                  for p in positions))
             compressed = peek is not None and peek.stored_bytes is not None
             if compressed or needs_rmw:
-                flush()
+                batch.flush()
                 region = None
                 if data is not None and store:
                     slicer = tuple(slice(lo, hi)
@@ -733,41 +797,9 @@ class SpaceTranslationLayer:
                 view[slicer] = region
             st = [start_time, 0, 0.0, lookup.nodes_visited, access]
             blocks.append(st)
-            for position in positions:
-                old = entry.pages[position]
-                if old is not None:
-                    prefer = (old.channel, old.bank)
-                    entry.record_release(position)
-                    self.allocator.invalidate(old)
-                    self.gc.note_release(old)
-                else:
-                    prefer = self.allocator.choose_target(entry,
-                                                          allowed=allowed)
-                if self.gc.needs_collection(*prefer):
-                    flush()
-                    gc_result = self.gc.collect(prefer[0], prefer[1],
-                                                st[0])
-                    st[2] += max(0.0, gc_result.end_time - st[0])
-                    if gc_result.end_time > st[0]:
-                        st[0] = gc_result.end_time
-                payload = None
-                if new_content is not None:
-                    offset = position * page_bytes
-                    payload = new_content[offset:offset + page_bytes]
-                if (self.elide_zero_pages and payload is not None
-                        and old is None and not payload.any()):
-                    self.stats.count("stl_pages_elided")
-                    continue
-                ppa = self.allocator.allocate(entry, position,
-                                              prefer=prefer,
-                                              allowed=allowed)
-                self.gc.note_alloc(ppa, space_id, access.block_coord,
-                                   position)
-                pending_ppas.append(ppa)
-                pending_data.append(payload)
-                pending_owner.append(st)
-                st[1] += 1
-        flush()
+            self._place_pages(space_id, entry, positions, new_content, st,
+                              batch)
+        batch.flush()
         for item in blocks:
             if isinstance(item, list):
                 completion, units, gc_time, nodes_visited, access = item

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.faults.errors import EraseFailError, ProgramFailError
-from repro.ftl.mapping import OutOfSpaceError, PageMapFTL
+from repro.ftl.mapping import OutOfSpaceError, PageMapFTL, free_page_floor
 from repro.nvm.address import PhysicalPageAddress, ppa_to_index
 from repro.nvm.flash import FlashArray
 from repro.sim.stats import StatSet
@@ -51,6 +51,9 @@ class GarbageCollector:
         self.ftl = ftl
         self.flash = flash
         self.threshold = threshold
+        #: integer form of the trigger: ``free < floor`` exactly when
+        #: ``free / pages_per_bank < threshold``
+        self.floor = free_page_floor(threshold, ftl.geometry.pages_per_bank)
         self.policy = policy
         self.reverse: Dict[int, int] = {}
         self.total_relocated = 0
@@ -86,7 +89,7 @@ class GarbageCollector:
 
     # ------------------------------------------------------------------
     def needs_collection(self, channel: int, bank: int) -> bool:
-        return self.ftl.free_fraction(channel, bank) < self.threshold
+        return self.ftl.planes[(channel, bank)].free_page_count() < self.floor
 
     def collect(self, channel: int, bank: int, now: float) -> GcResult:
         """Collect victims in one (channel, bank) until above threshold.

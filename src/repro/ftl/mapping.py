@@ -14,14 +14,35 @@ invalidate the old physical page and go to a fresh one in the same
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.nvm.address import PhysicalPageAddress
 from repro.nvm.geometry import Geometry
 
-__all__ = ["BlockState", "PlaneAllocator", "PageMapFTL", "OutOfSpaceError"]
+__all__ = ["BlockState", "PlaneAllocator", "PageMapFTL", "OutOfSpaceError",
+           "free_page_floor"]
+
+#: builds a PhysicalPageAddress from a field tuple without the generated
+#: ``__new__`` call — the append point runs once per programmed page
+_new_tuple = tuple.__new__
+
+
+def free_page_floor(threshold: float, pages_per_bank: int) -> int:
+    """The smallest free-page count ``n`` for which
+    ``n / pages_per_bank < threshold`` is false.
+
+    ``free < floor`` then holds exactly when the float predicate does,
+    so GC triggers compare integers per page instead of dividing.
+    """
+    n = math.ceil(threshold * pages_per_bank)
+    while n > 0 and not ((n - 1) / pages_per_bank < threshold):
+        n -= 1
+    while n / pages_per_bank < threshold:
+        n += 1
+    return n
 
 
 class OutOfSpaceError(RuntimeError):
@@ -58,7 +79,8 @@ class _FreeBlockPool:
     the tail (FIFO), ``remove`` may take any id.
     """
 
-    __slots__ = ("_virgin_next", "_virgin_end", "_skipped", "_recycled")
+    __slots__ = ("_virgin_next", "_virgin_end", "_skipped", "_recycled",
+                 "size")
 
     def __init__(self, count: int) -> None:
         self._virgin_next = 0
@@ -66,13 +88,14 @@ class _FreeBlockPool:
         #: virgin ids removed (retired) before their first allocation
         self._skipped: set = set()
         self._recycled: deque = deque()
+        #: ids in the pool, kept current by pop/append/remove
+        self.size = count
 
     def __len__(self) -> int:
-        return (self._virgin_end - self._virgin_next - len(self._skipped)
-                + len(self._recycled))
+        return self.size
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return self.size > 0
 
     def __contains__(self, block_id: int) -> bool:
         if (self._virgin_next <= block_id < self._virgin_end
@@ -95,24 +118,29 @@ class _FreeBlockPool:
             if block_id in self._skipped:
                 self._skipped.discard(block_id)
                 continue
+            self.size -= 1
             return block_id
         if not self._recycled:
             raise IndexError("pop from empty free-block pool")
+        self.size -= 1
         return self._recycled.popleft()
 
     def append(self, block_id: int) -> None:
         self._recycled.append(block_id)
+        self.size += 1
 
     def remove(self, block_id: int) -> None:
         if (self._virgin_next <= block_id < self._virgin_end
                 and block_id not in self._skipped):
             self._skipped.add(block_id)
+            self.size -= 1
             return
         try:
             self._recycled.remove(block_id)
         except ValueError:
             raise ValueError(
                 f"block {block_id} not in free-block pool") from None
+        self.size -= 1
 
 
 class PlaneAllocator:
@@ -137,6 +165,7 @@ class PlaneAllocator:
         #: without touching their call sites.
         self._active_state: Optional[BlockState] = None
         self._fill_counter = 0
+        self._pages_per_block = geometry.pages_per_block
 
     def _state(self, block_id: int) -> BlockState:
         state = self.blocks.get(block_id)
@@ -148,13 +177,14 @@ class PlaneAllocator:
 
     # ------------------------------------------------------------------
     def free_page_count(self) -> int:
-        count = len(self.free_blocks) * self.geometry.pages_per_block
+        pages_per_block = self._pages_per_block
+        count = self.free_blocks.size * pages_per_block
         if self.active_block is not None:
             state = self._active_state
             if state is None or state.block_id != self.active_block:
                 state = self._state(self.active_block)
                 self._active_state = state
-            count += self.geometry.pages_per_block - state.next_page
+            count += pages_per_block - state.next_page
         return count
 
     def allocate_page(self) -> PhysicalPageAddress:
@@ -171,11 +201,12 @@ class PlaneAllocator:
             if state is None or state.block_id != self.active_block:
                 state = self._state(self.active_block)
                 self._active_state = state
-        ppa = PhysicalPageAddress(self.channel, self.bank,
-                                  self.active_block, state.next_page)
-        state.valid[state.next_page] = True
-        state.next_page += 1
-        if state.next_page == self.geometry.pages_per_block:
+        page = state.next_page
+        ppa = _new_tuple(PhysicalPageAddress,
+                         (self.channel, self.bank, self.active_block, page))
+        state.valid[page] = True
+        state.next_page = page + 1
+        if page + 1 == self._pages_per_block:
             state.filled_seq = self._fill_counter
             self._fill_counter += 1
             self.active_block = None
@@ -284,6 +315,48 @@ class PageMapFTL:
         ppa = plane.allocate_page()
         self.map[lpn] = ppa
         return ppa, old
+
+    def allocate_run(self, lpns: Sequence[int], start: int, floor: int,
+                     reverse: Dict[int, int], out: List[PhysicalPageAddress],
+                     collected: bool = False) -> int:
+        """Bind ``lpns[start:]`` in order, stopping at a GC point.
+
+        Per LPN this is :meth:`allocate` plus the collector's reverse-
+        table update (``reverse`` maps page index -> LPN), after a
+        check that the stripe target's free pages are not below
+        ``floor``. New addresses are appended to ``out``. Returns the
+        index of the first LPN whose plane is below the floor (the
+        caller collects that plane and resumes there with
+        ``collected=True``, which skips the check once), or
+        ``len(lpns)`` when the run is done.
+        """
+        g = self.geometry
+        channels = g.channels
+        banks = g.banks_per_channel
+        blocks_per_bank = g.blocks_per_bank
+        pages_per_block = g.pages_per_block
+        planes = self.planes
+        fmap = self.map
+        for i in range(start, len(lpns)):
+            lpn = lpns[i]
+            channel = lpn % channels
+            bank = (lpn // channels) % banks
+            plane = planes[(channel, bank)]
+            if plane.free_page_count() < floor and not (
+                    collected and i == start):
+                return i
+            old = fmap.get(lpn)
+            if old is not None:
+                planes[(old[0], old[1])].invalidate(old)
+            ppa = plane.allocate_page()
+            fmap[lpn] = ppa
+            if old is not None:
+                reverse.pop(((old[0] * banks + old[1]) * blocks_per_bank
+                             + old[2]) * pages_per_block + old[3], None)
+            reverse[((channel * banks + bank) * blocks_per_bank + ppa[2])
+                    * pages_per_block + ppa[3]] = lpn
+            out.append(ppa)
+        return len(lpns)
 
     def trim(self, lpn: int) -> Optional[PhysicalPageAddress]:
         """Drop the mapping for ``lpn`` (discard)."""

@@ -76,37 +76,37 @@ class BaselineSSD:
         stats = StatSet()
         if self.flash.faults is None:
             # Batched fan-out: no injector means no ProgramFailError, so
-            # consecutive programs between GC events can go to the flash
-            # array as one batch. Every page still issues at
-            # ``start_time`` in LPN order, so the reserve chains — and
-            # the timings — are bit-identical to the per-page calls.
+            # each LPN run between GC points is bound by one FTL call
+            # and its programs go to the flash array as one batch. Every
+            # page still issues at ``start_time`` in LPN order, so the
+            # reserve chains — and the timings — are bit-identical to
+            # the per-page calls.
+            gc = self.gc
             batch_ppas: List = []
-            batch_data: Optional[List] = [] if data is not None else None
-            for position, lpn in enumerate(lpns):
-                channel, bank = self.ftl.stripe_target(lpn)
-                if self.gc.needs_collection(channel, bank):
-                    if batch_ppas:
-                        op = self.flash.program_pages(batch_ppas, start_time,
-                                                      data=batch_data)
-                        for done in op.completions:
-                            if done > end:
-                                end = done
-                        batch_ppas = []
-                        batch_data = [] if data is not None else None
-                    gc_result = self.gc.collect(channel, bank, end)
-                    end = max(end, gc_result.end_time)
-                    stats.merge(gc_result.stats)
-                ppa, old = self.ftl.allocate(lpn)
-                self.gc.note_alloc(lpn, ppa, old)
-                batch_ppas.append(ppa)
-                if batch_data is not None:
-                    batch_data.append(data[position])
-            if batch_ppas:
-                op = self.flash.program_pages(batch_ppas, start_time,
-                                              data=batch_data)
-                for done in op.completions:
-                    if done > end:
-                        end = done
+            first = 0
+            stop = 0
+            collected = False
+            while True:
+                stop = self.ftl.allocate_run(lpns, stop, gc.floor, gc.reverse,
+                                             batch_ppas, collected)
+                if batch_ppas:
+                    batch_data = None
+                    if data is not None:
+                        batch_data = [data[k] for k in range(first, stop)]
+                    op = self.flash.program_pages(batch_ppas, start_time,
+                                                  data=batch_data)
+                    for done in op.completions:
+                        if done > end:
+                            end = done
+                    batch_ppas = []
+                first = stop
+                if stop == len(lpns):
+                    break
+                channel, bank = self.ftl.stripe_target(lpns[stop])
+                gc_result = gc.collect(channel, bank, end)
+                end = max(end, gc_result.end_time)
+                stats.merge(gc_result.stats)
+                collected = True
             stats.count("device_pages_written", len(lpns))
             return DeviceOpResult(start_time=start_time, end_time=end,
                                   stats=stats)

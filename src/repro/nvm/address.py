@@ -8,16 +8,19 @@ mapping tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.nvm.geometry import Geometry
 
 __all__ = ["PhysicalPageAddress", "ppa_to_index", "index_to_ppa"]
 
 
-@dataclass(frozen=True, order=True)
-class PhysicalPageAddress:
-    """One basic access unit in the NVM array."""
+class PhysicalPageAddress(NamedTuple):
+    """One basic access unit in the NVM array.
+
+    A named tuple: immutable, hashed and ordered as the plain tuple
+    ``(channel, bank, block, page)``, and one cheap object per page.
+    """
 
     channel: int
     bank: int
