@@ -5,7 +5,9 @@ regions for the NDS systems, LPN runs for the linear systems) in host
 DRAM, keyed opaquely by the owning system. It owns byte accounting,
 the eviction policy, the write-back dirty set, and the deterministic
 hit/miss/eviction counters that the request scheduler diffs around
-every op for per-stream attribution.
+every op for per-stream attribution. Both per-op probes are O(1): the
+dirty-set size is a running byte count, and a pooled owner reads one
+running counter dict that every member tier adds to.
 
 Timing stays with the owner: the tier never touches a timeline itself.
 Dirty data reaches flash through ``flush_fn(entry, now) -> float``, a
@@ -60,15 +62,31 @@ class HostTierCache:
         self.entries: "OrderedDict[Hashable, CacheEntry]" = OrderedDict()
         self.total_bytes = 0
         self.counters: Dict[str, int] = {key: 0 for key in COUNTER_KEYS}
+        #: pool-wide running totals this tier also adds to (installed
+        #: by a pooled owner; None on a single-device system)
+        self.pool_counters: Optional[Dict[str, int]] = None
         #: dirty keys in first-written order (flush oldest first)
         self._dirty: "OrderedDict[Hashable, None]" = OrderedDict()
-        #: group -> set of resident keys (only keys with a group)
-        self._groups: Dict[Hashable, set] = {}
+        #: running sum of the dirty entries' ``nbytes``
+        self._dirty_bytes = 0
+        #: group -> resident keys in insertion order (only keys with a
+        #: group); a dict, not a set, so flush order never follows the
+        #: string hash seed
+        self._groups: Dict[Hashable, Dict[Hashable, None]] = {}
         #: installed by the owning system; replays its device write path
         self.flush_fn: Optional[Callable[[CacheEntry, float], float]] = None
         #: optional MetricsRegistry (attached via the system's
         #: ``set_metrics``); observation only, never feeds back
         self.metrics = None
+
+    def _count(self, key: str, metric: Optional[str] = None) -> None:
+        """Bump one counter here and in the pool totals, and mirror it
+        into the metrics registry under ``metric`` when one is given."""
+        self.counters[key] += 1
+        if self.pool_counters is not None:
+            self.pool_counters[key] += 1
+        if metric is not None and self.metrics is not None:
+            self.metrics.count(metric)
 
     # ------------------------------------------------------------------
     # lookups
@@ -77,18 +95,12 @@ class HostTierCache:
         """Demand lookup: counts a hit or miss and refreshes recency."""
         entry = self.entries.get(key)
         if entry is None:
-            self.counters["misses"] += 1
-            if self.metrics is not None:
-                self.metrics.count("cache.miss")
+            self._count("misses", "cache.miss")
             return None
-        self.counters["hits"] += 1
         if entry.prefetched:
-            self.counters["prefetch_hits"] += 1
             entry.prefetched = False
-            if self.metrics is not None:
-                self.metrics.count("cache.prefetch_hit")
-        if self.metrics is not None:
-            self.metrics.count("cache.hit")
+            self._count("prefetch_hits", "cache.prefetch_hit")
+        self._count("hits", "cache.hit")
         self.policy.on_hit(key)
         return entry
 
@@ -117,14 +129,17 @@ class HostTierCache:
         if entry is not None:
             # refresh in place (e.g. write-through update, re-fetch)
             self.total_bytes += nbytes - entry.nbytes
+            if entry.dirty:
+                self._dirty_bytes += nbytes - entry.nbytes
+            elif dirty:
+                entry.dirty = True
+                self._dirty[key] = None
+                self._dirty_bytes += nbytes
             entry.nbytes = nbytes
             if payload is not None:
                 entry.payload = payload
             if data is not None:
                 entry.data = data
-            if dirty and not entry.dirty:
-                entry.dirty = True
-                self._dirty[key] = None
             entry.prefetched = prefetched and entry.prefetched
             self.policy.on_hit(key)
             return self._enforce(now)
@@ -132,24 +147,21 @@ class HostTierCache:
         # rejecting one would silently drop the write, so they bypass
         # the admission filter unconditionally
         if not dirty and not self.policy.admit(key):
-            self.counters["rejected"] += 1
-            if self.metrics is not None:
-                self.metrics.count("cache.reject")
+            self._count("rejected", "cache.reject")
             return now
         entry = CacheEntry(key=key, nbytes=int(nbytes), payload=payload,
                            data=data, dirty=dirty, prefetched=prefetched,
                            group=group)
         self.entries[key] = entry
         self.total_bytes += entry.nbytes
-        self.counters["insertions"] += 1
+        self._count("insertions")
         if dirty:
             self._dirty[key] = None
+            self._dirty_bytes += entry.nbytes
         if group is not None:
-            self._groups.setdefault(group, set()).add(key)
+            self._groups.setdefault(group, {})[key] = None
         if prefetched:
-            self.counters["prefetch_issued"] += 1
-            if self.metrics is not None:
-                self.metrics.count("cache.prefetch_issued")
+            self._count("prefetch_issued", "cache.prefetch_issued")
         self.policy.on_insert(key)
         return self._enforce(now)
 
@@ -168,19 +180,19 @@ class HostTierCache:
         if entry.dirty:
             now = self.flush_entry(key, now)
         self._remove(key)
-        self.counters["evictions"] += 1
-        if self.metrics is not None:
-            self.metrics.count("cache.evict")
+        self._count("evictions", "cache.evict")
         return now
 
     def _remove(self, key: Hashable) -> None:
         entry = self.entries.pop(key)
         self.total_bytes -= entry.nbytes
-        self._dirty.pop(key, None)
+        if entry.dirty:
+            del self._dirty[key]
+            self._dirty_bytes -= entry.nbytes
         if entry.group is not None:
             keys = self._groups.get(entry.group)
             if keys is not None:
-                keys.discard(key)
+                keys.pop(key, None)
                 if not keys:
                     del self._groups[entry.group]
         self.policy.remove(key)
@@ -190,9 +202,7 @@ class HostTierCache:
         data through, or tearing the cache down)."""
         if key in self.entries:
             self._remove(key)
-            self.counters["invalidations"] += 1
-            if self.metrics is not None:
-                self.metrics.count("cache.invalidate")
+            self._count("invalidations", "cache.invalidate")
 
     # ------------------------------------------------------------------
     # durability
@@ -206,10 +216,9 @@ class HostTierCache:
             raise RuntimeError("write-back cache has no flush_fn installed")
         now = self.flush_fn(entry, now)
         entry.dirty = False
-        self._dirty.pop(key, None)
-        self.counters["writebacks"] += 1
-        if self.metrics is not None:
-            self.metrics.count("cache.writeback")
+        del self._dirty[key]
+        self._dirty_bytes -= entry.nbytes
+        self._count("writebacks", "cache.writeback")
         return now
 
     def flush_all(self, now: float) -> float:
@@ -225,8 +234,8 @@ class HostTierCache:
     @property
     def dirty_bytes(self) -> int:
         """Bytes buffered in the write-back dirty set (the exposure a
-        durability fence would have to flush)."""
-        return sum(self.entries[key].nbytes for key in self._dirty)
+        durability fence would have to flush); a running count."""
+        return self._dirty_bytes
 
     # ------------------------------------------------------------------
     # accounting

@@ -210,21 +210,27 @@ class NdsGarbageCollector:
         """
         if watermark is None:
             watermark = min(0.9, 2.0 * self.threshold)
-        deadline = now + budget_seconds
         total = NdsGcResult(ran=False, end_time=now)
-        planes = sorted(self.allocator.planes,
-                        key=lambda key: self.allocator.free_fraction(*key))
-        for channel, bank in planes:
-            if total.end_time >= deadline:
-                break
-            if self.allocator.free_fraction(channel, bank) >= watermark:
-                continue
-            part = self.collect(channel, bank, total.end_time,
-                                target_fraction=watermark, max_victims=1)
-            total.units_relocated += part.units_relocated
-            total.blocks_erased += part.blocks_erased
-            total.end_time = max(total.end_time, part.end_time)
-            total.ran = total.ran or part.ran
+        # integer form of ``free_fraction < watermark``: while every
+        # plane is at or above the floor there is nothing to sort or clean
+        floor = free_page_floor(watermark,
+                                self.allocator.geometry.pages_per_bank)
+        if any(plane.free_page_count() < floor
+               for plane in self.allocator.planes.values()):
+            deadline = now + budget_seconds
+            planes = sorted(self.allocator.planes,
+                            key=lambda key: self.allocator.free_fraction(*key))
+            for channel, bank in planes:
+                if total.end_time >= deadline:
+                    break
+                if self.allocator.free_fraction(channel, bank) >= watermark:
+                    continue
+                part = self.collect(channel, bank, total.end_time,
+                                    target_fraction=watermark, max_victims=1)
+                total.units_relocated += part.units_relocated
+                total.blocks_erased += part.blocks_erased
+                total.end_time = max(total.end_time, part.end_time)
+                total.ran = total.ran or part.ran
         total.stats.count("nds_gc_units_relocated", total.units_relocated)
         total.stats.count("nds_gc_blocks_erased", total.blocks_erased)
         return total

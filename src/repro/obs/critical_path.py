@@ -153,46 +153,55 @@ def attribute_op(op_span: TraceSpan,
     after them stay ``unattributed``.
     """
     lo, hi = op_span.start, op_span.end
-    args = dict(op_span.args)
-    queue_wait = float(args.get("queue_wait", 0.0))
+    queue_wait = 0.0
+    for name, value in op_span.args:
+        if name == "queue_wait":
+            queue_wait = value
     attribution = OpAttribution(
         op_id=op_span.op_id, stream=op_span.stream, label=op_span.name,
-        start=lo, end=hi, queue_wait=queue_wait)
-    clipped = []
+        start=lo, end=hi, queue_wait=float(queue_wait))
+    if hi <= lo:
+        return attribution
+    # (start, depth, name, end, layer): the tuple order is the sweep's
+    # sort and tie-break key, so sort and max need no key function
+    clipped: List[Tuple[float, int, str, float, str]] = []
     for child in children:
         if child.instant:
             continue
-        start = max(child.start, lo)
-        end = min(child.end, hi)
+        # the exact picks of max(child.start, lo) / min(child.end, hi)
+        start = child.start
+        start = lo if lo > start else start
+        end = child.end
+        end = hi if hi < end else end
         if end > start:
-            clipped.append((start, end, classify_span(child), child.name))
-    if hi <= lo:
-        return attribution
-    boundaries = sorted({lo, hi}
-                        | {c[0] for c in clipped} | {c[1] for c in clipped})
+            layer = classify_span(child)
+            clipped.append((start, _DEPTH[layer], child.name, end, layer))
+    # starts before ends, as a signed zero keeps its first occurrence
+    boundaries = sorted({lo, hi, *[c[0] for c in clipped],
+                         *[c[3] for c in clipped]})
     by_layer = attribution.by_layer
+    segments = attribution.segments
     # sort once by start so the active set can advance with the sweep
-    clipped.sort(key=lambda c: (c[0], _DEPTH[c[2]], c[3], c[1]))
+    clipped.sort()
+    count = len(clipped)
     cursor = 0
-    active: List[Tuple[float, float, str, str]] = []
+    active: List[Tuple[float, int, str, float, str]] = []
     for seg_lo, seg_hi in zip(boundaries, boundaries[1:]):
-        while cursor < len(clipped) and clipped[cursor][0] <= seg_lo:
+        while cursor < count and clipped[cursor][0] <= seg_lo:
             active.append(clipped[cursor])
             cursor += 1
-        active = [c for c in active if c[1] > seg_lo]
+        active = [c for c in active if c[3] > seg_lo]
         if active:
             # dominant = latest-started; deeper layer, then name on ties
-            winner = max(active,
-                         key=lambda c: (c[0], _DEPTH[c[2]], c[3]))
-            layer = winner[2]
-        elif cursor < len(clipped):
+            layer = max(active)[4]
+        elif cursor < count:
             # stall: blocked behind other ops' reservations — charge
             # the resource this op acquires next
-            layer = clipped[cursor][2]
+            layer = clipped[cursor][4]
         else:
             layer = "unattributed"
         by_layer[layer] = by_layer.get(layer, 0.0) + (seg_hi - seg_lo)
-        attribution.segments.append((seg_lo, seg_hi, layer))
+        segments.append((seg_lo, seg_hi, layer))
     return attribution
 
 

@@ -331,13 +331,18 @@ class Monitor:
         ``key`` (overflow past the horizon lands in the last window)."""
         if hi <= lo:
             return
-        width = self.window_seconds
-        first = self.window_of(lo)
-        last = self.window_of(hi)
+        width = self._width
+        if width is None:
+            width = self.window_seconds  # raises if horizon unset
+        # window_of(lo) / window_of(hi), inline
+        tail = self.windows - 1
+        first = 0 if lo <= 0 else min(int(lo / width), tail)
+        last = 0 if hi <= 0 else min(int(hi / width), tail)
         for index in range(first, last + 1):
             win_lo = index * width
-            win_hi = win_lo + width if index < self.windows - 1 else hi
-            overlap = min(hi, win_hi) - max(lo, win_lo)
+            win_hi = win_lo + width if index < tail else hi
+            overlap = ((win_hi if win_hi < hi else hi)
+                       - (win_lo if win_lo > lo else lo))
             if overlap > 0:
                 row = into[index]
                 row[key] = row.get(key, 0.0) + overlap

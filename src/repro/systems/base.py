@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.cache.nd import (neighbor_regions, region_group, region_key,
                             slices_overlap)
+from repro.cache.tier import COUNTER_KEYS
 from repro.core.errors import FaultError, NdsError
 from repro.runtime.scheduler import RequestScheduler
 from repro.runtime.tileop import DEFAULT_STREAM, TileOp
@@ -82,6 +83,10 @@ class StorageSystem(abc.ABC):
     #: host DRAM cache tier (None = uncached, bit-identical; set by
     #: :meth:`_init_tier` when a constructor is given ``cache=``)
     tier = None
+
+    #: running sum of the pool members' tier counters (None unless
+    #: pooled with tiers; every member tier adds to it as it counts)
+    _pool_cache_counters = None
 
     # ------------------------------------------------------------------
     # the request spine
@@ -293,27 +298,35 @@ class StorageSystem(abc.ABC):
             return ()
         return tuple(handle.system for handle in self.cluster.pool.devices)
 
+    def _link_pool_tiers(self) -> None:
+        """Start the pool-wide running cache counters from the members'
+        current totals and make every member tier add to them."""
+        tiers = [member.tier for member in self._member_systems()
+                 if member.tier is not None]
+        if not tiers:
+            return
+        totals = dict.fromkeys(COUNTER_KEYS, 0)
+        for tier in tiers:
+            for key, value in tier.counters.items():
+                totals[key] += value
+            tier.pool_counters = totals
+        self._pool_cache_counters = totals
+
     def cache_counters(self) -> Optional[dict]:
         """Snapshot of the DRAM tier's counters (summed over pool
         members when clustered; None with no tier attached) — the
-        scheduler diffs this around each op for per-stream hit rates."""
+        scheduler diffs this around each op for per-stream hit rates.
+        One dict copy either way: pooled members keep a running sum."""
         if self.tier is not None:
             return self.tier.counters_snapshot()
-        totals: Optional[dict] = None
-        for member in self._member_systems():
-            tier = member.tier
-            if tier is None:
-                continue
-            if totals is None:
-                totals = {}
-            for key, value in tier.counters.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        totals = self._pool_cache_counters
+        return dict(totals) if totals is not None else None
 
     def cache_dirty_bytes(self) -> Optional[int]:
         """Bytes currently buffered dirty in the DRAM tier (summed over
         pool members when clustered; None with no tier attached) — the
-        live monitor and the trace counter track sample this."""
+        live monitor and the trace counter track sample this. Each
+        member's dirty-byte count is a running int."""
         if self.tier is not None:
             return self.tier.dirty_bytes
         total: Optional[int] = None
@@ -468,6 +481,7 @@ class StorageSystem(abc.ABC):
         self.cluster = ClusterTranslationLayer(
             pool, self, parity=parity,
             extents_per_device=extents_per_device, rebalance=rebalance)
+        self._link_pool_tiers()
         if faults is not None and faults.plan is not None:
             for event in faults.plan.events:
                 if event.kind == "kill_device":

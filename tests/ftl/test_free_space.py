@@ -34,6 +34,20 @@ def test_floor_matches_float_predicate_at_the_boundary(threshold, profile):
 
 
 @pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
+def test_background_watermark_floor_matches_float_predicate(threshold,
+                                                            profile):
+    """``collect_background``'s early exit: every plane at or above the
+    integer floor of the default watermark is exactly every plane with
+    ``free / pages_per_bank >= watermark``."""
+    pages_per_bank = profile.geometry.pages_per_bank
+    watermark = min(0.9, 2.0 * threshold)
+    floor = free_page_floor(watermark, pages_per_bank)
+    for n in range(max(0, floor - 3), floor + 4):
+        assert (n >= floor) == (n / pages_per_bank >= watermark), (n, floor)
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
 def test_collectors_carry_the_floor(threshold):
     geometry = TINY_TEST.geometry
     floor = free_page_floor(threshold, geometry.pages_per_bank)
