@@ -32,8 +32,9 @@ def explore_nds() -> None:
 
     # Where did the first block's pages go?
     entry = stl.indexes[space.space_id].lookup((0, 0)).entry
-    channels = Counter(p.channel for p in entry.allocated_pages())
-    banks = Counter(p.bank for p in entry.allocated_pages())
+    # stored addresses are plain (channel, bank, block, page) tuples
+    channels = Counter(p[0] for p in entry.allocated_pages())
+    banks = Counter(p[1] for p in entry.allocated_pages())
     print(f"block (0,0): {len(entry.allocated_pages())} pages over "
           f"{len(channels)} channels (x{channels.most_common(1)[0][1]} each)"
           f" and {len(banks)} bank(s) — every channel reachable in "

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from typing import Container, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.btree import BlockEntry, ReverseEntry
+from repro.core.btree import BlockEntry, ReverseTuple
 from repro.core.errors import CapacityError
 from repro.ftl.mapping import OutOfSpaceError, PlaneAllocator
 from repro.nvm.geometry import Geometry
@@ -87,7 +87,7 @@ class NdsAllocator:
             # Rule 1: brand-new block — random channel and bank.
             return (self.rng.randrange(g.channels),
                     self.rng.randrange(g.banks_per_channel))
-        bank = entry.last_alloc.bank
+        bank = entry.last_alloc[1]
         channels_in_bank = entry.bank_channels.get(bank, ())
         if len(channels_in_bank) >= g.channels:
             # Rule 3: block covers every channel of this bank already —
@@ -104,7 +104,7 @@ class NdsAllocator:
         planes = sorted(allowed)
         if entry.last_alloc is None:
             return planes[self.rng.randrange(len(planes))]
-        bank = entry.last_alloc.bank
+        bank = entry.last_alloc[1]
         shard_channels_in_bank = {c for (c, b) in allowed if b == bank}
         used_in_bank = {c for (c, b) in entry.bank_use if b == bank}
         if not shard_channels_in_bank or \
@@ -223,7 +223,7 @@ class NdsAllocator:
 
     def place_run(self, entry: BlockEntry, positions: Sequence[int],
                   start: int, target: Optional[Tuple[int, int]],
-                  floor: int, reverse: Dict[int, ReverseEntry],
+                  floor: int, reverse: Dict[int, ReverseTuple],
                   space_id: int, out: List, slots: List[int],
                   allowed: Optional[Planes] = None,
                   zero: Optional[Container[int]] = None,
@@ -243,9 +243,9 @@ class NdsAllocator:
         is targeted and checked but not allocated. Every other position
         gets a unit from its target plane, recorded in ``entry`` as
         :meth:`allocate` records it, with ``reverse`` (page index ->
-        :class:`ReverseEntry`) pointing back at it; a dead channel or a
-        full plane falls back to :meth:`allocate`. The unit is appended
-        to ``out`` and its position to ``slots``. Returns
+        ``(space_id, coord, position)``) pointing back at it; a dead
+        channel or a full plane falls back to :meth:`allocate`. The unit
+        is appended to ``out`` and its position to ``slots``. Returns
         ``(len(positions), None)`` once every position is placed.
         """
         g = self.geometry
@@ -257,7 +257,6 @@ class NdsAllocator:
         faults = self.faults
         randrange = self.rng.randrange
         choice = self.rng.choice
-        new_tuple = tuple.__new__
         coord = entry.coord
         pages = entry.pages
         channel_use = entry.channel_use
@@ -330,8 +329,7 @@ class NdsAllocator:
                     key_grid[bank][channel] += weight
                     bank_tot[bank] += 1
             reverse[((channel * banks + bank) * blocks_per_bank + ppa[2])
-                    * pages_per_block + ppa[3]] = new_tuple(
-                        ReverseEntry, (space_id, coord, position))
+                    * pages_per_block + ppa[3]] = (space_id, coord, position)
             out.append(ppa)
             slots.append(position)
         return len(positions), None
@@ -377,4 +375,4 @@ class NdsAllocator:
         return None
 
     def invalidate(self, ppa) -> None:
-        self.planes[(ppa.channel, ppa.bank)].invalidate(ppa)
+        self.planes[(ppa[0], ppa[1])].invalidate(ppa)

@@ -18,19 +18,28 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.space import Space
-from repro.nvm.address import PhysicalPageAddress
+from repro.nvm.address import PpaTuple
 
 __all__ = ["BlockEntry", "BTreeNode", "BTreeIndex", "LookupResult",
-           "ReverseEntry"]
+           "ReverseEntry", "ReverseTuple"]
 
 
 class ReverseEntry(NamedTuple):
     """Back-reference from a physical unit to its leaf slot: the GC's
-    reverse-table record (see :mod:`repro.core.gc`)."""
+    reverse-table record (see :mod:`repro.core.gc`).
+
+    The table itself stores the plain tuple with these fields (see
+    :data:`ReverseTuple`); ``ReverseEntry(*back_ref)`` names them.
+    """
 
     space_id: int
     block_coord: Tuple[int, ...]
     position: int
+
+
+#: the stored form of a reverse-table record:
+#: ``(space_id, block_coord, position)``, as in :class:`ReverseEntry`
+ReverseTuple = Tuple[int, Tuple[int, ...], int]
 
 
 @dataclass
@@ -43,13 +52,13 @@ class BlockEntry:
     """
 
     coord: Tuple[int, ...]
-    pages: List[Optional[PhysicalPageAddress]]
+    pages: List[Optional[PpaTuple]]
     channel_use: Dict[int, int] = field(default_factory=dict)
     bank_use: Dict[Tuple[int, int], int] = field(default_factory=dict)
     #: ``bank_use`` re-indexed per bank (bank → channel → count) so the
     #: allocator's per-unit channel scan avoids tuple-key lookups
     bank_channels: Dict[int, Dict[int, int]] = field(default_factory=dict)
-    last_alloc: Optional[PhysicalPageAddress] = None
+    last_alloc: Optional[PpaTuple] = None
     #: when the space is compressed (§5.3.4): stored bytes including the
     #: codec header; None = uncompressed block
     stored_bytes: Optional[int] = None
@@ -63,55 +72,57 @@ class BlockEntry:
     #: the allocator; None until the first placement scan needs it.
     place_cols: Optional[Tuple[List[List[int]], List[int]]] = None
 
-    def record_alloc(self, ppa: PhysicalPageAddress, position: int) -> None:
+    def record_alloc(self, ppa: PpaTuple, position: int) -> None:
         self.pages[position] = ppa
-        self.channel_use[ppa.channel] = self.channel_use.get(ppa.channel, 0) + 1
-        key = (ppa.channel, ppa.bank)
+        channel = ppa[0]
+        bank = ppa[1]
+        self.channel_use[channel] = self.channel_use.get(channel, 0) + 1
+        key = (channel, bank)
         self.bank_use[key] = self.bank_use.get(key, 0) + 1
-        per_bank = self.bank_channels.get(ppa.bank)
+        per_bank = self.bank_channels.get(bank)
         if per_bank is None:
             per_bank = {}
-            self.bank_channels[ppa.bank] = per_bank
-        per_bank[ppa.channel] = per_bank.get(ppa.channel, 0) + 1
+            self.bank_channels[bank] = per_bank
+        per_bank[channel] = per_bank.get(channel, 0) + 1
         self.last_alloc = ppa
         cols = self.place_cols
         if cols is not None:
             key_grid, bank_tot = cols
-            c = ppa.channel
             for row in key_grid:
-                row[c] += 1
-            key_grid[ppa.bank][c] += len(self.pages) + 1
-            bank_tot[ppa.bank] += 1
+                row[channel] += 1
+            key_grid[bank][channel] += len(self.pages) + 1
+            bank_tot[bank] += 1
 
-    def record_release(self, position: int) -> Optional[PhysicalPageAddress]:
+    def record_release(self, position: int) -> Optional[PpaTuple]:
         ppa = self.pages[position]
         if ppa is None:
             return None
         self.pages[position] = None
-        self.channel_use[ppa.channel] -= 1
-        if self.channel_use[ppa.channel] == 0:
-            del self.channel_use[ppa.channel]
-        key = (ppa.channel, ppa.bank)
+        channel = ppa[0]
+        bank = ppa[1]
+        self.channel_use[channel] -= 1
+        if self.channel_use[channel] == 0:
+            del self.channel_use[channel]
+        key = (channel, bank)
         self.bank_use[key] -= 1
         if self.bank_use[key] == 0:
             del self.bank_use[key]
-        per_bank = self.bank_channels[ppa.bank]
-        per_bank[ppa.channel] -= 1
-        if per_bank[ppa.channel] == 0:
-            del per_bank[ppa.channel]
+        per_bank = self.bank_channels[bank]
+        per_bank[channel] -= 1
+        if per_bank[channel] == 0:
+            del per_bank[channel]
             if not per_bank:
-                del self.bank_channels[ppa.bank]
+                del self.bank_channels[bank]
         cols = self.place_cols
         if cols is not None:
             key_grid, bank_tot = cols
-            c = ppa.channel
             for row in key_grid:
-                row[c] -= 1
-            key_grid[ppa.bank][c] -= len(self.pages) + 1
-            bank_tot[ppa.bank] -= 1
+                row[channel] -= 1
+            key_grid[bank][channel] -= len(self.pages) + 1
+            bank_tot[bank] -= 1
         return ppa
 
-    def allocated_pages(self) -> List[PhysicalPageAddress]:
+    def allocated_pages(self) -> List[PpaTuple]:
         return [p for p in self.pages if p is not None]
 
     @property

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.allocator import NdsAllocator
-from repro.core.btree import BlockEntry, ReverseEntry
+from repro.core.btree import BlockEntry, ReverseEntry, ReverseTuple
 from repro.faults.errors import EraseFailError, ProgramFailError
 from repro.faults.parity import PARITY_POSITION
 from repro.ftl.mapping import OutOfSpaceError, free_page_floor
-from repro.nvm.address import PhysicalPageAddress, ppa_to_index
+from repro.nvm.address import PpaTuple, ppa_to_index
 from repro.nvm.flash import FlashArray
 from repro.sim.stats import StatSet
 
@@ -60,7 +60,9 @@ class NdsGarbageCollector:
                                      allocator.geometry.pages_per_bank)
         #: resolves (space_id, block_coord) -> live BlockEntry
         self._entry_resolver = entry_resolver
-        self.reverse: Dict[int, ReverseEntry] = {}
+        #: page index -> ``(space_id, block_coord, position)``, the
+        #: fields of :class:`ReverseEntry` as a plain tuple
+        self.reverse: Dict[int, ReverseTuple] = {}
         self.total_relocated = 0
         self.total_erased = 0
         self.total_retired = 0
@@ -84,12 +86,12 @@ class NdsGarbageCollector:
         return faults.suppress() if faults is not None else nullcontext()
 
     # ------------------------------------------------------------------
-    def note_alloc(self, ppa: PhysicalPageAddress, space_id: int,
+    def note_alloc(self, ppa: PpaTuple, space_id: int,
                    block_coord: Tuple[int, ...], position: int) -> None:
-        self.reverse[ppa_to_index(ppa, self.allocator.geometry)] = ReverseEntry(
+        self.reverse[ppa_to_index(ppa, self.allocator.geometry)] = (
             space_id, block_coord, position)
 
-    def note_release(self, ppa: Optional[PhysicalPageAddress]) -> None:
+    def note_release(self, ppa: Optional[PpaTuple]) -> None:
         if ppa is not None:
             self.reverse.pop(ppa_to_index(ppa, self.allocator.geometry), None)
 
@@ -147,7 +149,7 @@ class NdsGarbageCollector:
             for page in range(geometry.pages_per_block):
                 if not state.valid[page]:
                     continue
-                old_ppa = PhysicalPageAddress(channel, bank, victim, page)
+                old_ppa = (channel, bank, victim, page)
                 back_ref = self.reverse.get(ppa_to_index(old_ppa, geometry))
                 read = self.flash.read_pages([old_ppa], now)
                 payload = None
@@ -169,7 +171,7 @@ class NdsGarbageCollector:
                     except ProgramFailError as err:
                         plane.invalidate(new_ppa)
                         issue = self.retire_block(channel, bank,
-                                                  new_ppa.block,
+                                                  new_ppa[2],
                                                   err.fail_time)
                         try:
                             new_ppa = plane.allocate_page()
@@ -235,23 +237,22 @@ class NdsGarbageCollector:
         total.stats.count("nds_gc_blocks_erased", total.blocks_erased)
         return total
 
-    def _patch_entry(self, back_ref: ReverseEntry,
-                     old_ppa: PhysicalPageAddress,
-                     new_ppa: PhysicalPageAddress) -> None:
+    def _patch_entry(self, back_ref: ReverseTuple, old_ppa: PpaTuple,
+                     new_ppa: PpaTuple) -> None:
         geometry = self.allocator.geometry
         self.reverse.pop(ppa_to_index(old_ppa, geometry), None)
         self.reverse[ppa_to_index(new_ppa, geometry)] = back_ref
-        if back_ref.position == PARITY_POSITION:
+        space_id, block_coord, position = back_ref
+        if position == PARITY_POSITION:
             # parity units live in the STL's parity store, not a B-tree
             if self.parity_patcher is not None:
-                self.parity_patcher(back_ref.space_id, back_ref.block_coord,
-                                    new_ppa)
+                self.parity_patcher(space_id, block_coord, new_ppa)
             return
-        entry = self._entry_resolver(back_ref.space_id, back_ref.block_coord)
+        entry = self._entry_resolver(space_id, block_coord)
         if entry is None:
             return
-        entry.record_release(back_ref.position)
-        entry.record_alloc(new_ppa, back_ref.position)
+        entry.record_release(position)
+        entry.record_alloc(new_ppa, position)
 
     # ------------------------------------------------------------------
     # grown-bad-block management
@@ -278,7 +279,7 @@ class NdsGarbageCollector:
             for page in range(geometry.pages_per_block):
                 if not state.valid[page]:
                     continue
-                old_ppa = PhysicalPageAddress(channel, bank, block, page)
+                old_ppa = (channel, bank, block, page)
                 back_ref = self.reverse.get(ppa_to_index(old_ppa, geometry))
                 read = self.flash.read_pages([old_ppa], end)
                 payload = None

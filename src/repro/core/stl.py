@@ -540,7 +540,7 @@ class SpaceTranslationLayer:
         for position in positions:
             old = entry.pages[position]
             if old is not None:
-                prefer = (old.channel, old.bank)
+                prefer = (old[0], old[1])
                 entry.record_release(position)
                 self.allocator.invalidate(old)
                 self.gc.note_release(old)
@@ -574,8 +574,8 @@ class SpaceTranslationLayer:
                     entry.record_release(position)
                     self.allocator.invalidate(ppa)
                     self.gc.note_release(ppa)
-                    issue = self.gc.retire_block(ppa.channel, ppa.bank,
-                                                 ppa.block, err.fail_time)
+                    issue = self.gc.retire_block(ppa[0], ppa[1], ppa[2],
+                                                 err.fail_time)
                     ppa = self.allocator.allocate(entry, position,
                                                   prefer=None,
                                                   allowed=allowed)
@@ -852,7 +852,7 @@ class SpaceTranslationLayer:
         for position in range(len(entry.pages)):
             ppa = entry.record_release(position)
             if ppa is not None:
-                old_planes.append((ppa.channel, ppa.bank))
+                old_planes.append((ppa[0], ppa[1]))
                 self.allocator.invalidate(ppa)
                 self.gc.note_release(ppa)
         completion = rmw_done
@@ -938,8 +938,8 @@ class SpaceTranslationLayer:
                     break
                 except ProgramFailError as err:
                     self.allocator.invalidate(ppa)
-                    issue = self.gc.retire_block(ppa.channel, ppa.bank,
-                                                 ppa.block, err.fail_time)
+                    issue = self.gc.retire_block(ppa[0], ppa[1], ppa[2],
+                                                 err.fail_time)
         self.parity.put(space_id, coord, ppa)
         self.gc.note_alloc(ppa, space_id, coord, PARITY_POSITION)
         self.stats.count("stl_parity_units_written")

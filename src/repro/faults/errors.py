@@ -23,6 +23,18 @@ __all__ = [
 ]
 
 
+def _named(ppa) -> str:
+    """Message text for ``ppa``. The simulator's plain-tuple addresses
+    read as :class:`~repro.nvm.address.PhysicalPageAddress`, with field
+    names; anything else (the named type, a cluster extent label, None)
+    reads as given."""
+    if type(ppa) is tuple and len(ppa) == 4:
+        # imported here: repro.nvm imports this module
+        from repro.nvm.address import PhysicalPageAddress
+        ppa = PhysicalPageAddress(*ppa)
+    return f"{ppa}"
+
+
 class FaultError(RuntimeError):
     """Base class for injected-fault failures."""
 
@@ -44,7 +56,7 @@ class UncorrectableError(FaultError):
     def __init__(self, ppa, fail_time: float, retries: int = 0,
                  reason: str = "ecc") -> None:
         super().__init__(
-            f"uncorrectable read at {ppa} after {retries} retries"
+            f"uncorrectable read at {_named(ppa)} after {retries} retries"
             f" ({reason})", fail_time)
         self.ppa = ppa
         self.retries = retries
@@ -57,7 +69,7 @@ class DegradedReadError(FaultError):
 
     def __init__(self, ppa, fail_time: float, detail: str = "") -> None:
         super().__init__(
-            f"degraded read of {ppa} could not reconstruct"
+            f"degraded read of {_named(ppa)} could not reconstruct"
             + (f": {detail}" if detail else ""), fail_time)
         self.ppa = ppa
 
@@ -68,7 +80,8 @@ class ProgramFailError(FaultError):
     relocated."""
 
     def __init__(self, ppa, fail_time: float, reason: str = "wear") -> None:
-        super().__init__(f"program failure at {ppa} ({reason})", fail_time)
+        super().__init__(f"program failure at {_named(ppa)} ({reason})",
+                         fail_time)
         self.ppa = ppa
         self.reason = reason
 

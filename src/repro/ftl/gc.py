@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 from repro.faults.errors import EraseFailError, ProgramFailError
 from repro.ftl.mapping import OutOfSpaceError, PageMapFTL, free_page_floor
-from repro.nvm.address import PhysicalPageAddress, ppa_to_index
+from repro.nvm.address import PpaTuple, ppa_to_index
 from repro.nvm.flash import FlashArray
 from repro.sim.stats import StatSet
 
@@ -77,13 +77,13 @@ class GarbageCollector:
     # ------------------------------------------------------------------
     # reverse-map maintenance (called by the SSD on every map change)
     # ------------------------------------------------------------------
-    def note_alloc(self, lpn: int, ppa: PhysicalPageAddress,
-                   old: Optional[PhysicalPageAddress]) -> None:
+    def note_alloc(self, lpn: int, ppa: PpaTuple,
+                   old: Optional[PpaTuple]) -> None:
         if old is not None:
             self.reverse.pop(ppa_to_index(old, self.ftl.geometry), None)
         self.reverse[ppa_to_index(ppa, self.ftl.geometry)] = lpn
 
-    def note_trim(self, ppa: Optional[PhysicalPageAddress]) -> None:
+    def note_trim(self, ppa: Optional[PpaTuple]) -> None:
         if ppa is not None:
             self.reverse.pop(ppa_to_index(ppa, self.ftl.geometry), None)
 
@@ -127,7 +127,7 @@ class GarbageCollector:
             for page in range(geometry.pages_per_block):
                 if not state.valid[page]:
                     continue
-                old_ppa = PhysicalPageAddress(channel, bank, victim, page)
+                old_ppa = (channel, bank, victim, page)
                 lpn = self.reverse.get(ppa_to_index(old_ppa, geometry))
                 read = self.flash.read_pages([old_ppa], result.end_time if moved_any else now)
                 payload = None
@@ -153,7 +153,7 @@ class GarbageCollector:
                         # retry at the next free page
                         plane.invalidate(new_ppa)
                         issue = self.retire_block(channel, bank,
-                                                  new_ppa.block,
+                                                  new_ppa[2],
                                                   err.fail_time)
                         try:
                             new_ppa = plane.allocate_page()
@@ -218,7 +218,7 @@ class GarbageCollector:
             for page in range(geometry.pages_per_block):
                 if not state.valid[page]:
                     continue
-                old_ppa = PhysicalPageAddress(channel, bank, block, page)
+                old_ppa = (channel, bank, block, page)
                 lpn = self.reverse.get(ppa_to_index(old_ppa, geometry))
                 read = self.flash.read_pages([old_ppa], end)
                 payload = None

@@ -19,15 +19,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.nvm.address import PhysicalPageAddress
+from repro.nvm.address import PpaTuple
 from repro.nvm.geometry import Geometry
 
 __all__ = ["BlockState", "PlaneAllocator", "PageMapFTL", "OutOfSpaceError",
            "free_page_floor"]
-
-#: builds a PhysicalPageAddress from a field tuple without the generated
-#: ``__new__`` call — the append point runs once per programmed page
-_new_tuple = tuple.__new__
 
 
 def free_page_floor(threshold: float, pages_per_bank: int) -> int:
@@ -187,8 +183,9 @@ class PlaneAllocator:
             count += pages_per_block - state.next_page
         return count
 
-    def allocate_page(self) -> PhysicalPageAddress:
-        """Next append point; raises :class:`OutOfSpaceError` when full."""
+    def allocate_page(self) -> PpaTuple:
+        """Next append point, as a plain ``(channel, bank, block, page)``
+        tuple; raises :class:`OutOfSpaceError` when full."""
         if self.active_block is None:
             if not self.free_blocks:
                 raise OutOfSpaceError(
@@ -202,8 +199,7 @@ class PlaneAllocator:
                 state = self._state(self.active_block)
                 self._active_state = state
         page = state.next_page
-        ppa = _new_tuple(PhysicalPageAddress,
-                         (self.channel, self.bank, self.active_block, page))
+        ppa = (self.channel, self.bank, state.block_id, page)
         state.valid[page] = True
         state.next_page = page + 1
         if page + 1 == self._pages_per_block:
@@ -213,8 +209,8 @@ class PlaneAllocator:
             self._active_state = None
         return ppa
 
-    def invalidate(self, ppa: PhysicalPageAddress) -> None:
-        self._state(ppa.block).valid[ppa.page] = False
+    def invalidate(self, ppa: PpaTuple) -> None:
+        self._state(ppa[2]).valid[ppa[3]] = False
 
     def victim_candidates(self, policy: str = "greedy") -> List[int]:
         """Fully-written blocks, best victim first.
@@ -285,7 +281,7 @@ class PageMapFTL:
 
     def __init__(self, geometry: Geometry) -> None:
         self.geometry = geometry
-        self.map: Dict[int, PhysicalPageAddress] = {}
+        self.map: Dict[int, PpaTuple] = {}
         self.planes: Dict[Tuple[int, int], PlaneAllocator] = {
             (c, b): PlaneAllocator(c, b, geometry)
             for c in range(geometry.channels)
@@ -298,10 +294,10 @@ class PageMapFTL:
         bank = (lpn // self.geometry.channels) % self.geometry.banks_per_channel
         return channel, bank
 
-    def lookup(self, lpn: int) -> Optional[PhysicalPageAddress]:
+    def lookup(self, lpn: int) -> Optional[PpaTuple]:
         return self.map.get(lpn)
 
-    def allocate(self, lpn: int) -> Tuple[PhysicalPageAddress, Optional[PhysicalPageAddress]]:
+    def allocate(self, lpn: int) -> Tuple[PpaTuple, Optional[PpaTuple]]:
         """Bind ``lpn`` to a fresh physical page.
 
         Returns ``(new_ppa, old_ppa)``; ``old_ppa`` is the invalidated
@@ -311,13 +307,13 @@ class PageMapFTL:
         plane = self.planes[(channel, bank)]
         old = self.map.get(lpn)
         if old is not None:
-            self.planes[(old.channel, old.bank)].invalidate(old)
+            self.planes[(old[0], old[1])].invalidate(old)
         ppa = plane.allocate_page()
         self.map[lpn] = ppa
         return ppa, old
 
     def allocate_run(self, lpns: Sequence[int], start: int, floor: int,
-                     reverse: Dict[int, int], out: List[PhysicalPageAddress],
+                     reverse: Dict[int, int], out: List[PpaTuple],
                      collected: bool = False) -> int:
         """Bind ``lpns[start:]`` in order, stopping at a GC point.
 
@@ -358,11 +354,11 @@ class PageMapFTL:
             out.append(ppa)
         return len(lpns)
 
-    def trim(self, lpn: int) -> Optional[PhysicalPageAddress]:
+    def trim(self, lpn: int) -> Optional[PpaTuple]:
         """Drop the mapping for ``lpn`` (discard)."""
         old = self.map.pop(lpn, None)
         if old is not None:
-            self.planes[(old.channel, old.bank)].invalidate(old)
+            self.planes[(old[0], old[1])].invalidate(old)
         return old
 
     # ------------------------------------------------------------------

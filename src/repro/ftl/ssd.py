@@ -130,12 +130,12 @@ class BaselineSSD:
                     # grown bad block: undo the failed binding, retire
                     # the block (relocating its other live pages), and
                     # re-drive the program at a fresh append point
-                    plane = self.ftl.planes[(ppa.channel, ppa.bank)]
+                    plane = self.ftl.planes[(ppa[0], ppa[1])]
                     plane.invalidate(ppa)
                     self.gc.note_trim(ppa)
                     self.ftl.map.pop(lpn, None)
-                    issue = self.gc.retire_block(ppa.channel, ppa.bank,
-                                                 ppa.block, err.fail_time)
+                    issue = self.gc.retire_block(ppa[0], ppa[1], ppa[2],
+                                                 err.fail_time)
                     ppa, old = self.ftl.allocate(lpn)
                     self.gc.note_alloc(lpn, ppa, old)
             end = max(end, op.end_time)

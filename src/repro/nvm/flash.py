@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.faults.errors import (EraseFailError, ProgramFailError,
                                  UncorrectableError)
-from repro.nvm.address import PhysicalPageAddress, ppa_to_index
+from repro.nvm.address import PhysicalPageAddress, PpaTuple, ppa_to_index
 from repro.nvm.geometry import Geometry
 from repro.nvm.timing import NvmTiming
 from repro.sim.resources import Timeline
@@ -126,7 +126,7 @@ class FlashArray:
     # ------------------------------------------------------------------
     # functional access
     # ------------------------------------------------------------------
-    def page_data(self, ppa: PhysicalPageAddress,
+    def page_data(self, ppa: PpaTuple,
                   verify: bool = True) -> np.ndarray:
         """Contents of a programmed page (zero-filled if never written
         with data, e.g. timing-only programs).
@@ -139,26 +139,28 @@ class FlashArray:
             return np.zeros(self.geometry.page_size, dtype=np.uint8)
         if verify and idx in self._checksums:
             if _page_checksum(data) != self._checksums[idx]:
-                raise EccError(f"uncorrectable bit error in {ppa}")
+                raise EccError(
+                    f"uncorrectable bit error in {PhysicalPageAddress(*ppa)}")
         return data
 
-    def corrupt_page(self, ppa: PhysicalPageAddress,
+    def corrupt_page(self, ppa: PpaTuple,
                      byte_offset: int = 0) -> None:
         """Failure injection: flip bits in a programmed page's stored
         content so the next verified read raises :class:`EccError`."""
         idx = ppa_to_index(ppa, self.geometry)
         data = self._pages.get(idx)
         if data is None:
-            raise FlashStateError(f"page {ppa} holds no data to corrupt")
+            raise FlashStateError(
+                f"page {PhysicalPageAddress(*ppa)} holds no data to corrupt")
         data[byte_offset % data.size] ^= 0xFF
 
-    def is_programmed(self, ppa: PhysicalPageAddress) -> bool:
+    def is_programmed(self, ppa: PpaTuple) -> bool:
         return ppa_to_index(ppa, self.geometry) in self._programmed
 
     # ------------------------------------------------------------------
     # timed operations
     # ------------------------------------------------------------------
-    def read_pages(self, ppas: Sequence[PhysicalPageAddress],
+    def read_pages(self, ppas: Sequence[PpaTuple],
                    start_time: float = 0.0) -> FlashOpResult:
         """Read a batch of pages issued in order at ``start_time``.
 
@@ -181,7 +183,7 @@ class FlashArray:
         self.stats.count("pages_read", len(ppas))
         return result
 
-    def program_pages(self, ppas: Sequence[PhysicalPageAddress],
+    def program_pages(self, ppas: Sequence[PpaTuple],
                       start_time: float = 0.0,
                       data: Optional[Sequence[Optional[np.ndarray]]] = None,
                       ) -> FlashOpResult:
@@ -223,16 +225,15 @@ class FlashArray:
             raise EraseFailError(channel, bank, block, fail_time=end,
                                  reason=verdict)
         if self.store_data:
-            base = PhysicalPageAddress(channel, bank, block, 0)
-            base_idx = ppa_to_index(base, self.geometry)
+            base_idx = ppa_to_index((channel, bank, block, 0), self.geometry)
             for offset in range(self.geometry.pages_per_block):
                 self._programmed.discard(base_idx + offset)
                 self._pages.pop(base_idx + offset, None)
                 self._checksums.pop(base_idx + offset, None)
         if faults is not None:
-            base = PhysicalPageAddress(channel, bank, block, 0)
             faults.note_erase((channel, bank, block),
-                              ppa_to_index(base, self.geometry),
+                              ppa_to_index((channel, bank, block, 0),
+                                           self.geometry),
                               self.geometry.pages_per_block, end)
         self.stats.count("blocks_erased")
         if self.metrics is not None:
@@ -245,7 +246,7 @@ class FlashArray:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _read_chain(self, ppas: Sequence[PhysicalPageAddress],
+    def _read_chain(self, ppas: Sequence[PpaTuple],
                     start_time: float,
                     completions: Optional[List[float]] = None) -> float:
         """Batched fan-out of a read batch: the same bank→channel
@@ -265,9 +266,9 @@ class FlashArray:
         append = completions.append if completions is not None else None
         end_time = start_time
         for ppa in ppas:
-            c = ppa.channel
+            c = ppa[0]
             channel = channel_lines[c]
-            bank = bank_lines[c][ppa.bank]
+            bank = bank_lines[c][ppa[1]]
             if bank.observer is not None or channel.observer is not None:
                 # a reservation observer is attached outside set_metrics:
                 # take the instrumented path for this page
@@ -295,7 +296,7 @@ class FlashArray:
                 end_time = xfer_end
         return end_time
 
-    def _program_chain(self, ppas: Sequence[PhysicalPageAddress],
+    def _program_chain(self, ppas: Sequence[PpaTuple],
                        start_time: float,
                        data: Optional[Sequence[Optional[np.ndarray]]],
                        completions: List[float]) -> float:
@@ -312,9 +313,9 @@ class FlashArray:
         append = completions.append
         end_time = start_time
         for position, ppa in enumerate(ppas):
-            c = ppa.channel
+            c = ppa[0]
             channel = channel_lines[c]
-            bank = bank_lines[c][ppa.bank]
+            bank = bank_lines[c][ppa[1]]
             if bank.observer is not None or channel.observer is not None:
                 payload = data[position] if data is not None else None
                 prog_end = self._program_one(ppa, start_time, payload)
@@ -326,8 +327,8 @@ class FlashArray:
                 idx = ppa_to_index(ppa, geometry)
                 if idx in self._programmed:
                     raise FlashStateError(
-                        f"program to already-programmed page {ppa} "
-                        f"(erase first)")
+                        f"program to already-programmed page "
+                        f"{PhysicalPageAddress(*ppa)} (erase first)")
                 self._programmed.add(idx)
                 payload = data[position] if data is not None else None
                 if payload is not None:
@@ -358,16 +359,16 @@ class FlashArray:
                 end_time = prog_end
         return end_time
 
-    def _read_one(self, ppa: PhysicalPageAddress, issue_time: float) -> float:
+    def _read_one(self, ppa: PpaTuple, issue_time: float) -> float:
         faults = self.faults
         if faults is not None:
             faults.advance(issue_time)
-            if faults.channel_dead(ppa.channel):
+            if faults.channel_dead(ppa[0]):
                 faults.stats.count("dead_channel_reads")
                 raise UncorrectableError(ppa, fail_time=issue_time,
                                          reason="channel_dead")
-        channel = self.channel_lines[ppa.channel]
-        bank = self.bank_lines[ppa.channel][ppa.bank]
+        channel = self.channel_lines[ppa[0]]
+        bank = self.bank_lines[ppa[0]][ppa[1]]
         # The command reaches the die after t_cmd (latency only: command
         # packets are tiny and interleave with data on the bus), the die
         # senses for t_read, then the page moves over the channel bus.
@@ -391,15 +392,14 @@ class FlashArray:
         return self._apply_read_faults(ppa, bank, channel, xfer,
                                        read_start, xfer_end)
 
-    def _apply_read_faults(self, ppa: PhysicalPageAddress, bank: Timeline,
+    def _apply_read_faults(self, ppa: PpaTuple, bank: Timeline,
                            channel: Timeline, xfer: float,
                            sense_start: float, first_end: float) -> float:
         """Walk the ECC read-retry ladder: each retry re-senses at a
         tuned reference voltage (longer than a default sense) and moves
         the page out again so the ECC engine can re-decode."""
         idx = ppa_to_index(ppa, self.geometry)
-        plan = self.faults.read_plan(
-            idx, (ppa.channel, ppa.bank, ppa.block, ppa.page), sense_start)
+        plan = self.faults.read_plan(idx, ppa, sense_start)
         end = first_end
         for factor in plan.sense_factors:
             retry_start, retry_end = bank.reserve(end,
@@ -430,20 +430,20 @@ class FlashArray:
                                      reason=plan.reason)
         return end
 
-    def _program_one(self, ppa: PhysicalPageAddress, issue_time: float,
+    def _program_one(self, ppa: PpaTuple, issue_time: float,
                      payload: Optional[np.ndarray]) -> float:
         faults = self.faults
         verdict = None
         if faults is not None:
             faults.advance(issue_time)
             idx = ppa_to_index(ppa, self.geometry)
-            verdict = faults.program_check(
-                idx, (ppa.channel, ppa.bank, ppa.block, ppa.page))
+            verdict = faults.program_check(idx, ppa)
         if self.store_data and verdict is None:
             idx = ppa_to_index(ppa, self.geometry)
             if idx in self._programmed:
                 raise FlashStateError(
-                    f"program to already-programmed page {ppa} (erase first)")
+                    f"program to already-programmed page "
+                    f"{PhysicalPageAddress(*ppa)} (erase first)")
             self._programmed.add(idx)
             if payload is not None:
                 page = np.zeros(self.geometry.page_size, dtype=np.uint8)
@@ -454,8 +454,8 @@ class FlashArray:
                 page[: raw.size] = raw
                 self._pages[idx] = page
                 self._checksums[idx] = _page_checksum(page)
-        channel = self.channel_lines[ppa.channel]
-        bank = self.bank_lines[ppa.channel][ppa.bank]
+        channel = self.channel_lines[ppa[0]]
+        bank = self.bank_lines[ppa[0]][ppa[1]]
         xfer = self.timing.transfer_time(self.geometry.page_size)
         xfer_start, xfer_end = channel.reserve(issue_time + self.timing.t_cmd,
                                                xfer)

@@ -26,8 +26,8 @@ class TestPlacementRules:
     def test_first_unit_lands_somewhere_valid(self, allocator, geometry):
         entry = _entry()
         ppa = allocator.allocate(entry, 0)
-        assert 0 <= ppa.channel < geometry.channels
-        assert 0 <= ppa.bank < geometry.banks_per_channel
+        assert 0 <= ppa[0] < geometry.channels
+        assert 0 <= ppa[1] < geometry.banks_per_channel
 
     def test_block_spreads_over_all_channels_first(self, allocator, geometry):
         """Rule 2: successive units go to least-used channels of the
@@ -35,8 +35,8 @@ class TestPlacementRules:
         entry = _entry()
         ppas = [allocator.allocate(entry, i)
                 for i in range(geometry.channels)]
-        assert len({p.channel for p in ppas}) == geometry.channels
-        assert len({p.bank for p in ppas}) == 1
+        assert len({p[0] for p in ppas}) == geometry.channels
+        assert len({p[1] for p in ppas}) == 1
 
     def test_bank_advances_after_channels_exhausted(self, allocator, geometry):
         """Rule 3: once a bank holds a unit in every channel, the next
@@ -44,10 +44,10 @@ class TestPlacementRules:
         entry = _entry()
         ppas = [allocator.allocate(entry, i)
                 for i in range(2 * geometry.channels)]
-        banks = {p.bank for p in ppas}
+        banks = {p[1] for p in ppas}
         assert len(banks) == 2
         # each (channel, bank) pair used exactly once
-        pairs = {(p.channel, p.bank) for p in ppas}
+        pairs = {(p[0], p[1]) for p in ppas}
         assert len(pairs) == 2 * geometry.channels
 
     def test_full_block_wraps_to_least_used(self, allocator, geometry):
@@ -56,7 +56,7 @@ class TestPlacementRules:
         entry = _entry(pages=3 * geometry.channels * geometry.banks_per_channel)
         total = geometry.channels * geometry.banks_per_channel
         ppas = [allocator.allocate(entry, i) for i in range(2 * total)]
-        pairs = [(p.channel, p.bank) for p in ppas]
+        pairs = [(p[0], p[1]) for p in ppas]
         # every pair used exactly twice — perfectly even
         from collections import Counter
         assert set(Counter(pairs).values()) == {2}
@@ -67,9 +67,8 @@ class TestPlacementRules:
         entry.record_release(0)
         allocator.invalidate(first)
         replacement = allocator.allocate(entry, 0,
-                                         prefer=(first.channel, first.bank))
-        assert (replacement.channel, replacement.bank) == (first.channel,
-                                                           first.bank)
+                                         prefer=(first[0], first[1]))
+        assert (replacement[0], replacement[1]) == (first[0], first[1])
         assert replacement != first
 
 
@@ -82,7 +81,7 @@ class TestCapacity:
         for i in range(pages_per_plane):
             allocator.allocate(entry, i, prefer=(0, 0))
         ppa = allocator.allocate(entry, pages_per_plane, prefer=(0, 0))
-        assert (ppa.channel, ppa.bank) != (0, 0)
+        assert (ppa[0], ppa[1]) != (0, 0)
 
     def test_capacity_error_when_everything_full(self, geometry):
         allocator = NdsAllocator(geometry, seed=7)

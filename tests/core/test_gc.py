@@ -25,8 +25,8 @@ class TestReverseTable:
         space = stl.create_space((8, 8), 2)
         stl.write(space.space_id, (0, 0), (8, 8))
         assert len(stl.gc.reverse) > 0
-        for entry in stl.gc.reverse.values():
-            assert entry.space_id == space.space_id
+        for space_id, _coord, _position in stl.gc.reverse.values():
+            assert space_id == space.space_id
 
     def test_oob_accounting(self, pressured_stl):
         stl = pressured_stl

@@ -17,7 +17,7 @@ def _live_planes(stl, space_id):
     planes = set()
     for entry in stl.indexes[space_id].iter_entries():
         for ppa in entry.allocated_pages():
-            planes.add((ppa.channel, ppa.bank))
+            planes.add((ppa[0], ppa[1]))
     return planes
 
 
@@ -122,7 +122,7 @@ class TestShardedAllocation:
         _write(stl, space.space_id, data)
         parity_ppas = [ppa for _, ppa in stl.parity.iter_space(space.space_id)]
         assert parity_ppas
-        assert {ppa.channel for ppa in parity_ppas} <= {0, 1}
+        assert {ppa[0] for ppa in parity_ppas} <= {0, 1}
 
     def test_two_disjoint_shards_have_disjoint_footprints(self, tiny_stl,
                                                           rng):
@@ -161,8 +161,7 @@ class TestShardedAllocation:
             data = np.arange(32 * 32, dtype=np.uint8).reshape(32, 32)
             _write(stl, space.space_id, data)
             return sorted(
-                (ppa.channel, ppa.bank, ppa.block, ppa.page)
-                for entry in stl.indexes[space.space_id].iter_entries()
+                ppa for entry in stl.indexes[space.space_id].iter_entries()
                 for ppa in entry.allocated_pages())
 
         assert run(False) == run(True)

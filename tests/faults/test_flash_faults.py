@@ -6,8 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.faults import (EraseFailError, FaultConfig, FaultInjector,
-                          FaultPlan, ProgramFailError, UncorrectableError)
+from repro.faults import (DegradedReadError, EraseFailError, FaultConfig,
+                          FaultInjector, FaultPlan, ProgramFailError,
+                          UncorrectableError)
 from repro.nvm import TINY_TEST
 from repro.nvm.address import PhysicalPageAddress
 from repro.nvm.flash import FlashArray
@@ -119,6 +120,22 @@ class TestStructuralFailures:
         assert info.value.reason == "bad_block"
         assert flash.faults.stats.counters["program_fails"] == 1
         assert flash.faults.stats.counters["erase_fails"] == 1
+
+    def test_errors_name_plain_tuple_address_fields(self):
+        """Fault errors print a plain-tuple address as the named type,
+        and leave any other label as given."""
+        named = "PhysicalPageAddress(channel=0, bank=1, block=2, page=3)"
+        for ppa in ((0, 1, 2, 3), PhysicalPageAddress(0, 1, 2, 3)):
+            assert str(UncorrectableError(ppa, 0.0, retries=2)) == (
+                f"uncorrectable read at {named} after 2 retries (ecc)")
+            assert str(ProgramFailError(ppa, 0.0)) == (
+                f"program failure at {named} (wear)")
+            assert str(DegradedReadError(ppa, 0.0)) == (
+                f"degraded read of {named} could not reconstruct")
+        assert str(DegradedReadError("emb extent 3", 0.0, detail="x")) == (
+            "degraded read of emb extent 3 could not reconstruct: x")
+        assert str(UncorrectableError(None, 0.0)) == (
+            "uncorrectable read at None after 0 retries (ecc)")
 
     def test_erase_clears_scripted_corruption(self):
         flash = _flash(FaultConfig(

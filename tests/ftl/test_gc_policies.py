@@ -27,7 +27,7 @@ class TestVictimPolicies:
         plane.invalidate(a[0])
         for ppa in b[:3]:
             plane.invalidate(ppa)
-        assert plane.victim_candidates("greedy")[0] == b[0].block
+        assert plane.victim_candidates("greedy")[0] == b[0][2]
 
     def test_fifo_picks_oldest(self, plane):
         a = _fill_block(plane)
@@ -35,7 +35,7 @@ class TestVictimPolicies:
         # b is emptier, but a filled first
         for ppa in b[:3]:
             plane.invalidate(ppa)
-        assert plane.victim_candidates("fifo")[0] == a[0].block
+        assert plane.victim_candidates("fifo")[0] == a[0][2]
 
     def test_cost_benefit_weighs_age_against_utilization(self, plane):
         a = _fill_block(plane)        # old, fully live
@@ -43,11 +43,11 @@ class TestVictimPolicies:
         for ppa in b[:3]:
             plane.invalidate(ppa)
         # a is older but 100 % live => score 0; b wins
-        assert plane.victim_candidates("cost-benefit")[0] == b[0].block
+        assert plane.victim_candidates("cost-benefit")[0] == b[0][2]
         # now kill a too: a becomes old AND empty => a wins
         for ppa in a:
             plane.invalidate(ppa)
-        assert plane.victim_candidates("cost-benefit")[0] == a[0].block
+        assert plane.victim_candidates("cost-benefit")[0] == a[0][2]
 
     def test_unknown_policy(self, plane):
         _fill_block(plane)

@@ -32,16 +32,17 @@ class TestAllocate:
         for lpn in range(16):
             ppa, old = ftl.allocate(lpn)
             assert old is None
-            assert (ppa.channel, ppa.bank) == ftl.stripe_target(lpn)
+            assert (ppa[0], ppa[1]) == ftl.stripe_target(lpn)
 
     def test_overwrite_invalidates_old(self, ftl):
         first, _ = ftl.allocate(0)
         second, old = ftl.allocate(0)
         assert old == first
         assert second != first
-        assert (second.channel, second.bank) == (first.channel, first.bank)
-        plane = ftl.planes[(first.channel, first.bank)]
-        assert not plane.blocks[first.block].valid[first.page]
+        channel, bank, block, page = first
+        assert (second[0], second[1]) == (channel, bank)
+        plane = ftl.planes[(channel, bank)]
+        assert not plane.blocks[block].valid[page]
 
     def test_lookup(self, ftl):
         assert ftl.lookup(5) is None
@@ -77,7 +78,7 @@ class TestPlaneAllocator:
     def test_release_returns_block_to_pool(self, geometry):
         plane = PlaneAllocator(0, 0, geometry)
         pages = [plane.allocate_page() for _ in range(geometry.pages_per_block)]
-        block = pages[0].block
+        block = pages[0][2]
         for ppa in pages:
             plane.invalidate(ppa)
         plane.release_block(block)
@@ -93,8 +94,8 @@ class TestPlaneAllocator:
         for ppa in block_b[:4]:
             plane.invalidate(ppa)
         victims = plane.victim_candidates()
-        assert victims[0] == block_b[0].block
-        assert set(victims) == {block_a[0].block, block_b[0].block}
+        assert victims[0] == block_b[0][2]
+        assert set(victims) == {block_a[0][2], block_b[0][2]}
 
     def test_active_block_is_not_a_victim(self, geometry):
         plane = PlaneAllocator(0, 0, geometry)

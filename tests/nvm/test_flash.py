@@ -1,5 +1,7 @@
 """Tests for the flash array: timing schedules, NAND semantics, data."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,22 @@ class TestProgramSemantics:
         flash.program_pages([ppa], 0.0)
         with pytest.raises(FlashStateError):
             flash.program_pages([ppa], 0.0)
+
+    def test_plain_tuple_address_errors_name_the_fields(self, flash):
+        """The simulator stores plain-tuple addresses; its NAND errors
+        still print them with field names, on both program paths."""
+        ppa = (0, 1, 2, 3)
+        named = "PhysicalPageAddress(channel=0, bank=1, block=2, page=3)"
+        twice = re.escape(f"already-programmed page {named} (erase first)")
+        flash.program_pages([ppa], 0.0)
+        with pytest.raises(FlashStateError, match=twice):
+            flash.program_pages([ppa], 0.0)
+        flash.fast_path = False
+        with pytest.raises(FlashStateError, match=twice):
+            flash.program_pages([ppa], 0.0)
+        with pytest.raises(FlashStateError,
+                           match=re.escape(f"page {named} holds no data")):
+            flash.corrupt_page(ppa)
 
     def test_erase_allows_reprogram(self, flash):
         ppa = PhysicalPageAddress(0, 0, 2, 3)
